@@ -1,7 +1,7 @@
 """Engine throughput microbenchmarks (pytest-benchmark timing proper).
 
 Not a paper artifact: measures the simulator's branches/second for the
-main predictors, the batched multi-lane gshare kernel, and the sweep
+main predictors, the fused multi-lane gshare kernel, and the sweep
 matrix driver, which together bound how long the figure benches take.
 These use multiple rounds (real statistics) since each round is cheap.
 """
@@ -12,7 +12,8 @@ import pytest
 
 from benchmarks.common import load_bench_trace
 from repro.core.registry import make_predictor
-from repro.sim.batch import GShareLane, gshare_lane_rates
+from repro.sim import _cstep
+from repro.sim.batch import GShareLane, gshare_family_rates
 from repro.sim.engine import run
 from repro.sim.runner import evaluate_matrix
 
@@ -49,12 +50,16 @@ def test_simulation_throughput(benchmark, spec, trace):
     assert branches_per_second > 100_000
 
 
+needs_cc = pytest.mark.skipif(not _cstep.available(), reason="no C compiler")
+
+
+@needs_cc
 @pytest.mark.benchmark(group="throughput-batched")
 def test_batched_kernel_throughput(benchmark, trace):
-    """Lane-branches/second of the multi-lane kernel (13 lanes = one
+    """Lane-branches/second of the fused family kernel (13 lanes = one
     full history-length search at 12 index bits)."""
     rates = benchmark.pedantic(
-        gshare_lane_rates, args=(BATCH_LANES, trace), rounds=3, iterations=1
+        gshare_family_rates, args=(BATCH_LANES, trace), rounds=3, iterations=1
     )
     assert all(0.0 <= r <= 1.0 for r in rates)
     lane_branches_per_second = len(BATCH_LANES) * len(trace) / benchmark.stats["mean"]
@@ -64,6 +69,7 @@ def test_batched_kernel_throughput(benchmark, trace):
     assert lane_branches_per_second > 1_000_000
 
 
+@needs_cc
 @pytest.mark.benchmark(group="throughput-batched")
 def test_batched_kernel_speedup_vs_scalar(benchmark, trace):
     """Wall-clock of the scalar engine over the same 13-configuration
@@ -74,7 +80,7 @@ def test_batched_kernel_speedup_vs_scalar(benchmark, trace):
         return [run(make_predictor(s), trace).misprediction_rate for s in specs]
 
     scalar_rates = benchmark.pedantic(scalar_family, rounds=1, iterations=1)
-    assert scalar_rates == gshare_lane_rates(BATCH_LANES, trace)
+    assert scalar_rates == gshare_family_rates(BATCH_LANES, trace)
 
 
 @pytest.mark.benchmark(group="throughput-sweep")

@@ -20,10 +20,9 @@ Environment knobs:
   use e.g. 0.1 for a quick smoke pass of the whole harness).
 * ``REPRO_JOBS`` — worker processes for sweep-shaped benches (default
   serial; ``0``/``auto`` means one per CPU).
-* ``REPRO_FUSED`` — fused sweep dispatch (``auto``/``on``/``off``,
-  default ``auto``): evaluate each spec *family* of a grid in one pass
-  over the shared trace (:mod:`repro.sim.fused`) instead of per-cell
-  batched passes.  The figure benches inherit it through
+* ``REPRO_KERNEL`` — engine for every scheme (``auto``/``c``/``scalar``,
+  default ``auto``): the compiled family kernels, or the scalar
+  predictors.  The figure benches inherit it through
   ``evaluate_matrix``; rates are bit-identical either way.
 * ``REPRO_RESUME`` — resume interrupted figure sweeps from their
   journal (default ``1``; set ``0`` to discard a stale journal and

@@ -14,9 +14,8 @@ Engines:
   ported schemes had before their detailed kernels landed;
 * **registry** — ``REPRO_DETAILED_KERNEL=auto``: ``detailed_matrix``
   groups the grid into per-scheme families and each family runs its
-  batch attribution kernel (compiled sequential loops when a C compiler
-  exists, counter-major numpy otherwise), sharing precomputed history
-  streams within the family.
+  compiled attribution kernel (the scalar predictors stand in without a
+  C compiler), sharing precomputed history streams within the family.
 
 Cells are compact Section-4 summary dicts (per-class breakdown, bias
 areas, aliasing/sharing, class changes) and are asserted **JSON-exact**

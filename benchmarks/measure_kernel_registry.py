@@ -19,9 +19,8 @@ Engines per wave:
   per-branch engine, the only path these schemes had before their
   kernels landed;
 * **registry** — ``REPRO_KERNEL=auto``: the fused planner groups the
-  grid into per-scheme families and each family runs its lane kernel
-  (compiled counter/step loops when a C compiler exists, numpy lanes
-  otherwise).
+  grid into per-scheme families and each family runs its compiled lane
+  kernel (the scalar predictors stand in without a C compiler).
 
 Rates are asserted bit-identical cell by cell, and every cell is
 additionally checked against the differential oracle *and* the scalar

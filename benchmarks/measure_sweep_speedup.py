@@ -1,4 +1,4 @@
-"""Measure the sweep speedup of the batched kernel paths.
+"""Measure the sweep speedup of the batch kernels over the scalar engine.
 
 Cold-cache measurements, all asserted bit-identical to the scalar
 engine, printed and recorded in ``results/sweep_speedup.csv``:
@@ -6,22 +6,12 @@ engine, printed and recorded in ``results/sweep_speedup.csv``:
 * **Figure-3 sweep** — the full CINT95 paper sweep (every gshare.best
   candidate, the 1PHT points and bi-mode at all eight paper sizes),
   scalar per-cell baseline vs the production ``paper_sweep`` path
-  (``REPRO_FUSED=auto``: fused family passes when the compiled driver
-  exists, the per-trace batched kernels of :mod:`repro.sim.batch` /
-  :mod:`repro.sim.batch_bimode` otherwise).
+  (the fused family passes of :mod:`repro.sim.fused`).
 * **Figure-2 bi-mode portion** — just the bi-mode specs of the sweep,
   across the *combined* CINT95 + IBS suite of both Figure-2 panels,
   scalar per-cell baseline vs one production ``evaluate_matrix`` call
-  (``REPRO_FUSED=auto``: one fused bi-mode family pass per trace, or
-  the cross-trace batched kernel without a compiler).  This isolates
-  what the bi-mode fast paths buy; the acceptance bar is >= 2x.
-* **Fused sweep** — the whole Figure-2/3/4 spec grid over the combined
-  CINT95 + IBS suite, per-cell batched path (``REPRO_FUSED=off``) vs
-  the fused family passes (``REPRO_FUSED=on``, :mod:`repro.sim.fused`),
-  every cell asserted bit-identical and additionally checked against
-  the scalar engine and the differential oracle on a power-on trace
-  prefix; acceptance bar >= 5x, machine-readable record in
-  ``results/BENCH_fused_sweep.json``.
+  (one fused bi-mode family pass per trace).  This isolates what the
+  bi-mode kernel buys; the acceptance bar is >= 2x.
 * **Figure-7 detailed workload** — the full Section-4 breakdown bench
   (detailed attribution simulation + substream analysis for every
   Figure-7 cell, warm trace store), scalar ``simulate_detailed``
@@ -29,6 +19,9 @@ engine, printed and recorded in ``results/sweep_speedup.csv``:
   (``REPRO_DETAILED_KERNEL=batch``); summaries asserted identical,
   acceptance bar >= 5x, machine-readable record in
   ``results/BENCH_detailed_kernel.json``.
+
+The whole Figure-2/3/4 grid is timed end to end, with oracle and scalar
+checks, by the ``paper_grid`` workload of ``perfbench/run.py``.
 
 Not a pytest file on purpose — timing cold sweeps back-to-back is an
 explicit measurement run::
@@ -110,110 +103,6 @@ def measure_bimode_portion():
                 print(f"MISMATCH {spec} on {bench}: "
                       f"batched={batched[spec][bench]} scalar={scalar[(spec, bench)]}")
     return baseline_s, batched_s, len(specs) * len(traces), mismatches
-
-
-def measure_fused_sweep():
-    """Fused family dispatch vs the per-cell batched path, full suite.
-
-    The PR-6 gate: the whole Figure-2/3/4 spec grid (every gshare.best
-    candidate, the 1PHT points and bi-mode at all eight paper sizes)
-    against the *combined* CINT95 + IBS suite, cold cache both ways:
-
-    * **per-cell** — ``REPRO_FUSED=off``: the pre-existing production
-      path, one batched kernel pass per (spec, trace) cell (bi-mode
-      cells through the cross-trace matrix prepass);
-    * **fused** — ``REPRO_FUSED=on``: the sweep planner groups the grid
-      into families and each family advances in a single pass over each
-      trace with per-spec in-loop reduction.
-
-    Rates are asserted bit-identical cell by cell, and every cell is
-    additionally checked against the differential oracle *and* the
-    scalar engine on a power-on prefix of its trace
-    (``$REPRO_FUSED_ORACLE_N`` branches, default 20 000 — the pure-
-    python oracle at full scale would dwarf the sweeps being measured).
-    Acceptance bar >= 5x; machine-readable record in
-    ``results/BENCH_fused_sweep.json``.
-    """
-    from repro.sim.fused import plan_families
-    from repro.sim.runner import evaluate_specs
-    from repro.verify.oracle import oracle_rate
-
-    specs = sweep_spec_set()
-    traces = load_bench_suite("all")
-    families = plan_families(specs)
-
-    # Warm a tiny fused pass so the one-time C driver build and imports
-    # are not charged to the timed sweep.
-    warm = next(iter(traces.values()))[:2_000]
-    with _env(REPRO_FUSED="on"):
-        evaluate_specs([specs[0], specs[-1]], warm)
-
-    with tempfile.TemporaryDirectory() as tmp, _env(REPRO_FUSED="off"):
-        t0 = time.perf_counter()
-        percell = evaluate_matrix(specs, traces, cache=ResultCache(Path(tmp)))
-        percell_s = time.perf_counter() - t0
-
-    with tempfile.TemporaryDirectory() as tmp, _env(REPRO_FUSED="on"):
-        t0 = time.perf_counter()
-        fused = evaluate_matrix(specs, traces, cache=ResultCache(Path(tmp)))
-        fused_s = time.perf_counter() - t0
-
-    mismatches = 0
-    for spec in specs:
-        for bench in traces:
-            if fused[spec][bench] != percell[spec][bench]:
-                mismatches += 1
-                print(f"MISMATCH fused {spec} on {bench}: "
-                      f"fused={fused[spec][bench]} percell={percell[spec][bench]}")
-
-    # Differential oracle + scalar engine, every cell, power-on prefix.
-    oracle_n = int(os.environ.get("REPRO_FUSED_ORACLE_N", "20000"))
-    oracle_cells = oracle_mismatches = 0
-    for bench, trace in traces.items():
-        prefix = trace[:oracle_n]
-        with _env(REPRO_FUSED="on"):
-            fused_prefix = evaluate_specs(specs, prefix)
-        for spec in specs:
-            scalar_rate = run(make_predictor(spec), prefix).misprediction_rate
-            oracle = oracle_rate(spec, prefix)
-            oracle_cells += 1
-            if not (fused_prefix[spec] == scalar_rate == oracle):
-                oracle_mismatches += 1
-                print(f"MISMATCH oracle {spec} on {bench} (n={len(prefix)}): "
-                      f"fused={fused_prefix[spec]} scalar={scalar_rate} "
-                      f"oracle={oracle}")
-
-    speedup = percell_s / fused_s if fused_s else float("inf")
-    verdict = "identical" if mismatches + oracle_mismatches == 0 else "DIVERGED"
-    summary = {
-        "what": "full Figure-2/3/4 spec grid x CINT95+IBS suite, cold "
-                "cache: per-cell batched kernels vs fused family passes",
-        "suite": "all",
-        "scale": bench_scale(),
-        "specs": len(specs),
-        "benches": len(traces),
-        "cells": len(specs) * len(traces),
-        "families": [
-            {"kind": family.kind, "specs": len(family)} for family in families
-        ],
-        "percell_s": round(percell_s, 3),
-        "fused_s": round(fused_s, 3),
-        "speedup": round(speedup, 2),
-        "gate": ">= 5x, rates bit-identical per cell",
-        "rates_identical": mismatches == 0,
-        "oracle": {
-            "prefix_branches": oracle_n,
-            "cells_checked": oracle_cells,
-            "fused_scalar_oracle_identical": oracle_mismatches == 0,
-        },
-    }
-    rows = [
-        [f"fig2/3/4 full-suite per-cell batched (REPRO_FUSED=off)",
-         f"{percell_s:.2f}", "1.00x", verdict],
-        [f"fig2/3/4 full-suite fused families (REPRO_FUSED=on)",
-         f"{fused_s:.2f}", f"{speedup:.2f}x", verdict],
-    ]
-    return rows, summary, mismatches + oracle_mismatches
 
 
 @contextmanager
@@ -565,15 +454,6 @@ def main() -> int:
     print(f"scalar {bm_base_s:.2f}s vs batched {bm_batch_s:.2f}s over {bm_cells} "
           f"cells -> {bm_speedup:.2f}x")
 
-    print("\nFused sweep (full Figure-2/3/4 grid over CINT95+IBS, cold cache):")
-    fs_rows, fs_summary, fs_mismatches = measure_fused_sweep()
-    fs_speedup = fs_summary["speedup"]
-    print(f"per-cell {fs_summary['percell_s']:.2f}s vs fused "
-          f"{fs_summary['fused_s']:.2f}s over {fs_summary['cells']} cells "
-          f"-> {fs_speedup:.2f}x "
-          f"(oracle checked {fs_summary['oracle']['cells_checked']} cells "
-          f"@ {fs_summary['oracle']['prefix_branches']} branches)")
-
     print("\nTrace pipeline (generation / persistence / load):")
     tp_rows, tp_summary, tp_mismatches = measure_trace_pipeline()
 
@@ -592,15 +472,11 @@ def main() -> int:
         ["path", "seconds", "speedup", "rates"],
         [
             ["fig3 scalar engine (per-cell)", f"{baseline_s:.2f}", "1.00x", verdict],
-            ["fig3 production path (paper_sweep, REPRO_FUSED=auto)", f"{batched_s:.2f}", f"{speedup:.2f}x", verdict],
+            ["fig3 production path (paper_sweep)", f"{batched_s:.2f}", f"{speedup:.2f}x", verdict],
             ["fig2 bi-mode scalar engine (per-cell)", f"{bm_base_s:.2f}", "1.00x", bm_verdict],
-            ["fig2 bi-mode production path (evaluate_matrix, REPRO_FUSED=auto)", f"{bm_batch_s:.2f}", f"{bm_speedup:.2f}x", bm_verdict],
-        ] + fs_rows + tp_rows + dk_rows,
+            ["fig2 bi-mode production path (evaluate_matrix)", f"{bm_batch_s:.2f}", f"{bm_speedup:.2f}x", bm_verdict],
+        ] + tp_rows + dk_rows,
     )
-
-    fs_path = results_dir() / "BENCH_fused_sweep.json"
-    fs_path.write_text(json.dumps(fs_summary, indent=2) + "\n")
-    print(f"[written {fs_path}]")
 
     dk_path = results_dir() / "BENCH_detailed_kernel.json"
     dk_path.write_text(json.dumps(dk_summary, indent=2) + "\n")
@@ -623,15 +499,13 @@ def main() -> int:
     gen_speedup = tp_summary["generation"]["speedup"]
     print(f"\nfig3 speedup: {speedup:.2f}x (target >= 3x)  "
           f"fig2 bi-mode speedup: {bm_speedup:.2f}x (target >= 2x)  "
-          f"fused sweep speedup: {fs_speedup:.2f}x (target >= 5x)  "
           f"tracegen speedup: {gen_speedup:.2f}x (target >= 5x)  "
           f"fig7 detailed speedup: {dk_speedup:.2f}x (target >= 5x)  "
           f"mismatches="
-          f"{mismatches + bm_mismatches + fs_mismatches + tp_mismatches + dk_mismatches}")
-    if mismatches or bm_mismatches or fs_mismatches or tp_mismatches or dk_mismatches:
+          f"{mismatches + bm_mismatches + tp_mismatches + dk_mismatches}")
+    if mismatches or bm_mismatches or tp_mismatches or dk_mismatches:
         return 1
-    if (speedup < 3.0 or bm_speedup < 2.0 or fs_speedup < 5.0
-            or gen_speedup < 5.0 or dk_speedup < 5.0):
+    if speedup < 3.0 or bm_speedup < 2.0 or gen_speedup < 5.0 or dk_speedup < 5.0:
         print("WARNING: below target on this machine")
         return 2
     if not tp_summary["cold_pipeline"]["new_faster"]:

@@ -15,21 +15,17 @@ Figures 2–4 plot misprediction against predictor cost for three curves:
 memoizing every (spec, trace) cell through the
 :class:`~repro.sim.runner.ResultCache`.
 
-The heavy lifting is fused: the sweep planner (:mod:`repro.sim.fused`,
-``REPRO_FUSED``) groups the whole spec grid into families — every
-gshare cell of a sweep (the 1PHT points and the whole ``gshare.best``
-candidate family) is one family, every bi-mode cell another — and each
-family advances in a single pass over each trace with per-spec in-loop
-reduction.  When fused dispatch is off or unavailable the cells route
-through the per-trace batched kernels instead (:mod:`repro.sim.batch`
-one counting-sorted pass per configuration, :mod:`repro.sim.
-batch_bimode` the whole bi-mode portion of the matrix in one
-cross-trace call), and the (spec, benchmark) matrix can be split
-across worker processes with ``jobs`` / ``$REPRO_JOBS``
-(:mod:`repro.sim.parallel`).  All paths return bit-identical rates to
-the scalar reference engine (asserted by the equivalence suites and
-:mod:`repro.verify`), so cached cells mix freely with freshly computed
-ones.
+The heavy lifting is fused: the sweep planner (:mod:`repro.sim.fused`)
+groups the whole spec grid into families — every gshare cell of a sweep
+(the 1PHT points and the whole ``gshare.best`` candidate family) is one
+family, every bi-mode cell another — and each family advances in a
+single compiled pass over each trace with per-spec in-loop reduction
+(the scalar predictors stand in on a host without a C compiler).  The
+(spec, benchmark) matrix can be split across worker processes with
+``jobs`` / ``$REPRO_JOBS`` (:mod:`repro.sim.parallel`).  Every engine
+returns bit-identical rates to the scalar reference (asserted by the
+equivalence suites and :mod:`repro.verify`), so cached cells mix
+freely with freshly computed ones.
 """
 
 from __future__ import annotations
@@ -164,7 +160,7 @@ def best_gshare_at_size(
     Tries every history length in ``history_candidates`` (default: all
     of ``0..index_bits``) and returns the spec minimizing the suite
     average, with its per-benchmark rates.  All candidates are simulated
-    in one batched kernel pass per trace (see :mod:`repro.sim.batch`)
+    in one fused gshare family pass per trace (see :mod:`repro.sim.batch`)
     rather than one full trace pass per history length.
     """
     if not traces:

@@ -218,72 +218,32 @@ def _cmd_list(args) -> int:
 
 def _cmd_kernels(args) -> int:
     """The kernel registry, resolved against this environment: every
-    scheme's tier, whether it has a numpy form, and the engine the
-    current ``REPRO_KERNEL`` pin actually lands on."""
+    scheme's tier, its batch kernel, and the engine the current
+    ``REPRO_KERNEL`` setting actually lands on (rates and Section-4
+    attribution alike)."""
     from repro.sim import _cstep, kernels
 
     compiled = _cstep.available()
     mode = kernels.kernel_mode()
-    # representative specs for the cloop schemes whose numpy capability
-    # depends on lane knobs (gskew: total update is feedback-free)
-    probes = {
-        "gskew": ("gskew:bank=6", "gskew:bank=6,update=total"),
-        "trimode": ("trimode:dir=6",),
-        "yags": ("yags:choice=6,cache=5",),
-        "perceptron": ("perceptron:index=6",),
-    }
 
-    def numpy_form(scheme: str, tier: str) -> str:
-        if tier in ("fused", "lane"):
-            return "yes"
-        entry = kernels.PORTED[scheme]
-        forms = {
-            "yes" if entry.numpy_ok(entry.lane_for_spec(probe)) else "no"
-            for probe in probes[scheme]
-        }
-        return forms.pop() if len(forms) == 1 else "per-config"
-
-    def picks(tier: str, form: str) -> str:
-        if mode == "scalar":
-            return "scalar"
-        if mode == "c":
-            return "c" if compiled else "error (no compiler)"
-        if mode == "auto" and compiled:
-            return "c"
-        # numpy pin, or auto without a compiler
-        if form == "yes":
-            return "numpy"
-        if form == "no":
-            return "scalar"
-        return "numpy or scalar (per config)"
-
-    def detailed_form(scheme: str, form: str) -> str:
-        # Section-4 attribution engines: the detailed kernels share the
-        # prediction kernels' engine matrix, so the numpy form gates both.
-        tier = kernels.registered_detailed_tiers()[scheme]
-        if tier == "scalar":  # pragma: no cover - meta-test keeps this dead
-            return "scalar"
-        if tier == "fused":
-            return "fused"
-        if form == "yes":
-            return "c+numpy"
-        if form == "no":
-            return "c" if compiled else "scalar (no compiler)"
-        return "c or c+numpy (per config)"
+    def picks(scheme: str) -> str:
+        try:
+            return kernels.family_engine(scheme)[0]
+        except RuntimeError:
+            return "error (no compiler)"
 
     rows = [
         [
             scheme,
-            tier,
-            numpy_form(scheme, tier),
-            detailed_form(scheme, numpy_form(scheme, tier)),
-            picks(tier, numpy_form(scheme, tier)),
+            entry.tier,
+            "compiled" if entry.compiled else "vectorized",
+            picks(scheme),
         ]
-        for scheme, tier in sorted(kernels.registered_schemes().items())
+        for scheme, entry in sorted(kernels.KERNELS.items())
     ]
     print(
         ascii_table(
-            ["scheme", "tier", "numpy form", "detailed", f"REPRO_KERNEL={mode} picks"],
+            ["scheme", "tier", "batch kernel", f"REPRO_KERNEL={mode} picks"],
             rows,
             title="kernel registry",
         )

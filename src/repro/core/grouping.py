@@ -1,7 +1,7 @@
 """Stable O(n) grouping of accesses by small-integer key.
 
-The counter-major kernels (:mod:`repro.sim.batch`) and the Section-4
-substream analysis (:mod:`repro.analysis.bias`,
+The per-address history and bias-filter kernels (:mod:`repro.sim.lanes`)
+and the Section-4 substream analysis (:mod:`repro.analysis.bias`,
 :mod:`repro.analysis.interference`) all need the same primitive: a
 permutation that groups a stream of small-integer keys by value while
 preserving time order inside each group — i.e. a *stable counting

@@ -20,7 +20,7 @@ into concrete geometries.
 from __future__ import annotations
 
 import difflib
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable, List
 
 from repro.core.bimode import BiModePredictor
 from repro.core.hardware import HardwareBudget
@@ -51,6 +51,7 @@ from repro.predictors.yags import YagsPredictor
 
 __all__ = [
     "available_schemes",
+    "check_specs",
     "make_predictor",
     "parse_spec",
     "gshare_at_kb",
@@ -303,6 +304,28 @@ def make_predictor(spec_or_scheme: str, **kwargs) -> BranchPredictor:
         raise ValueError(f"invalid spec {spec!r}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"invalid spec {spec!r}: {exc}") from exc
+
+
+def check_specs(specs: Iterable[str]) -> List[str]:
+    """Validate a sweep's spec list before any cell runs.
+
+    A bare ``str`` is rejected with :class:`TypeError` — iterating it
+    would yield one-letter "specs".  Every distinct spec is then built
+    once, so an invalid one raises :class:`ValueError` naming it (see
+    :func:`make_predictor`) instead of failing, or being quarantined,
+    mid-sweep.  Returns the specs as a list, order and duplicates kept.
+    """
+    if isinstance(specs, str):
+        raise TypeError(
+            f"specs must be an iterable of spec strings, not the str {specs!r}; "
+            f"wrap a single spec in a list"
+        )
+    specs = list(specs)
+    for spec in dict.fromkeys(specs):
+        if not isinstance(spec, str):
+            raise TypeError(f"spec must be a str, got {type(spec).__name__}: {spec!r}")
+        make_predictor(spec)
+    return specs
 
 
 # -- paper size-axis helpers -----------------------------------------------------

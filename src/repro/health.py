@@ -1,7 +1,7 @@
 """Structured execution-health reporting for sweeps.
 
 Long sweeps route every cell through a chain of execution strategies —
-compiled C step loop, numpy kernels, pure-Python fallbacks, worker
+compiled C kernels, the scalar predictors they fall back to, worker
 pools that may degrade to serial — and silently falling down that chain
 makes a sweep's performance (and failure modes) impossible to reason
 about after the fact.  This module is the narrow waist those layers

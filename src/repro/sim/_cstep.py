@@ -1,12 +1,10 @@
-"""Optional compiled step drivers for the per-branch automata.
+"""Compiled step drivers: the batch kernel of every stateful scheme.
 
-The bi-mode choice/bank feedback defeats counter-major decomposition
-(see :mod:`repro.sim.batch_bimode`), leaving a genuinely sequential
-per-branch automaton; the gshare detailed path likewise walks one
-saturating counter per branch when per-access attribution is wanted.
-Each automaton is ~10 integer operations per branch, so a tiny C loop
-runs it one to two orders of magnitude faster than any Python-level
-stepping.  This module compiles those loops on first use with the
+Every predictor automaton here is ~10 integer operations per branch —
+the fused gshare and bi-mode family passes, the per-lane loops of the
+other schemes (:mod:`repro.sim.lanes`), and the Section-4 reductions —
+so a tiny C loop runs it one to two orders of magnitude faster than any
+Python-level stepping.  This module compiles those loops on first use with the
 *system* C compiler — no build system, no installed extension, no new
 dependency — and loads them through :mod:`ctypes`.
 
@@ -16,11 +14,12 @@ The driver is strictly optional:
   (keyed by a hash of the C source, so edits rebuild automatically);
 * any failure — no compiler on PATH, sandboxed ``cc``, unloadable
   object — is remembered and reported via :func:`available`, and the
-  callers fall back to the pure-numpy / pure-Python paths with
-  bit-identical results;
-* ``REPRO_NO_CC=1`` disables the driver outright (used by tests to pin
-  a specific execution strategy, and as an escape hatch on platforms
-  where invoking the compiler is unwanted).
+  kernel registry (:mod:`repro.sim.kernels`) runs the scalar predictors
+  instead, with bit-identical results (the Section-4 reductions fall
+  back to their numpy formulations);
+* ``REPRO_NO_CC=1`` disables the driver outright (used by tests to run
+  the no-compiler platform, and as an escape hatch on platforms where
+  invoking the compiler is unwanted).
 """
 
 from __future__ import annotations

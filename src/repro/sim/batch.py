@@ -1,42 +1,31 @@
-"""Batched multi-configuration gshare simulation kernel.
+"""Compiled gshare kernels: the fused family pass and the attribution pass.
 
 The paper's ``gshare.best`` search (Section 3.1) simulates every history
 length ``0..index_bits`` at each predictor size — a dozen-plus full
 trace passes per (size, benchmark) cell through the scalar per-branch
-loop.  This module collapses the whole family into vectorized passes
-with no per-branch Python iteration.
+loop.  This module collapses that family into one compiled pass.
 
 Lane model
 ----------
 Lane ``k`` is a ``(index_bits_k, history_bits_k)`` gshare sharing one
-trace with every other lane.  Its PHT occupies its own slab of a
-conceptual flat counter-state space, so every counter in the batch is
-globally unique and lanes never interact.  Because histories depend only
-on resolved outcomes — never on predictions — each lane's whole index
-stream is precomputable up front (history streams are shared between
-lanes with equal history length), leaving only the per-counter
-saturating automaton as sequential work.
+trace with every other lane.  All lanes observe the same global-history
+contents (only the masked widths differ) and index with the same
+``(pc & imask) ^ (h & hmask)`` form, so one 64-bit history register and
+one pass over the raw ``(pc, outcome)`` stream serves the whole family;
+each lane's PHT is its own slab of a shared counter arena.
 
-Counter-major evaluation
-------------------------
-The kernel transposes each lane from time-major to counter-major:
+* :func:`gshare_family_rates` — the sweep kernel
+  (:func:`repro.sim._cstep.gshare_fused`): per-lane misprediction counts
+  reduced in-loop, never materializing index streams or predictions.
+* :func:`gshare_lane_detailed` — the Section-4 kernel
+  (:func:`repro.sim._cstep.gshare_detailed`): one lane's per-access
+  predictions plus the counter id each access read, which for gshare
+  is the precomputed index stream itself.
 
-1. accesses are stably grouped by counter id with an ``O(n)`` counting
-   sort (scipy's C ``coo_tocsr`` kernel when available, numpy's radix
-   ``argsort`` otherwise), preserving time order inside each group;
-2. consecutive same-outcome accesses of a counter collapse into *runs*.
-   A run of ``r`` takens acts on the 2-bit counter as the saturating
-   map ``s -> min(3, s + r)`` — and every composition of such maps
-   stays of the closed form ``s -> min(hi, max(lo, s + c))``, so a run
-   is three small integers;
-3. a segmented Hillis–Steele scan composes run maps in ``O(log L)``
-   doubling steps (``L`` = most runs on any one counter), yielding each
-   run's start state;
-4. inside a run the automaton moves monotonically, so both the
-   per-access predictions and the run's misprediction *count* have
-   closed forms — rate queries never materialize per-access state.
-
-Results are bit-for-bit identical to the scalar step interface
+Both need the compiled driver; :mod:`repro.sim.kernels` decides whether
+it is available and otherwise runs the scalar
+:class:`~repro.predictors.gshare.GSharePredictor` instead.  Results are
+bit-for-bit identical to the scalar step interface
 (:func:`repro.sim.engine.run_steps`); the equivalence suite asserts it
 lane by lane.
 """
@@ -49,21 +38,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.counters import WEAKLY_TAKEN
-from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import gshare_index_stream
 from repro.core.registry import parse_spec
+from repro.sim import _cstep
 from repro.traces.record import BranchTrace
 
 __all__ = [
     "GShareLane",
     "lane_for_spec",
-    "gshare_lane_predictions",
     "gshare_lane_detailed",
-    "gshare_lane_rates",
     "gshare_family_rates",
-    "counter_scan",
 ]
+
 
 @dataclass(frozen=True)
 class GShareLane:
@@ -109,432 +96,64 @@ def lane_for_spec(spec: str) -> Optional[GShareLane]:
     return GShareLane(index_bits=index_bits, history_bits=history_bits)
 
 
-#: Stable counting-sort grouping, shared with the Section-4 analysis
-#: (see :mod:`repro.core.grouping`).
-_stable_group_order = stable_group_order
-
-
-def _lane_runs(
-    keys: np.ndarray, outcomes: np.ndarray, num_counters: int, init: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Counter-major run decomposition of one lane's access stream.
-
-    Returns ``(order, run_first, run_len, run_out, run_s0)``:
-    the grouping permutation, each run's first position in grouped
-    order, its length, its (constant) outcome, and — the sequential part
-    of the problem, resolved by segmented map composition — the counter
-    state at the run's first access.
-    """
-    n = len(keys)
-    order = _stable_group_order(keys, num_counters)
-    grouped_keys = keys[order]
-    grouped_outs = outcomes[order]
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(grouped_keys[1:], grouped_keys[:-1], out=seg_start[1:])
-    run_start = seg_start.copy()
-    run_start[1:] |= grouped_outs[1:] != grouped_outs[:-1]
-
-    run_first = np.flatnonzero(run_start)
-    num_runs = len(run_first)
-    run_len = np.empty(num_runs, dtype=np.int32)
-    run_len[:-1] = np.diff(run_first)
-    run_len[-1] = n - run_first[-1]
-    run_out = grouped_outs[run_first]
-
-    # Elementary run maps s -> min(hi, max(lo, s + c)): a taken run of
-    # length r is (c=r, lo=min(r,3), hi=3), a not-taken run is
-    # (c=-r, lo=0, hi=max(3-r,0)).
-    shift = np.where(run_out, run_len, -run_len).astype(np.int32)
-    lo = np.where(run_out, np.minimum(run_len, 3), 0).astype(np.int32)
-    hi = np.where(run_out, 3, np.maximum(3 - run_len, 0)).astype(np.int32)
-
-    # Position of each run within its counter's segment.
-    seg_start_runs = seg_start[run_first]
-    seg_first_run = np.flatnonzero(seg_start_runs)
-    seg_id = np.cumsum(seg_start_runs, dtype=np.int64) - 1
-    pos = np.arange(num_runs, dtype=np.int64) - seg_first_run[seg_id]
-
-    _compose_segmented(shift, lo, hi, pos)
-
-    # State before each run's first access: init at segment heads,
-    # otherwise the previous run's inclusive composition applied to init.
-    run_s0 = np.full(num_runs, init, dtype=np.int32)
-    interior = np.flatnonzero(~seg_start_runs)
-    prev = interior - 1
-    run_s0[interior] = np.minimum(
-        hi[prev], np.maximum(lo[prev], init + shift[prev])
-    )
-    return order, run_first, run_len, run_out, run_s0
-
-
-def _compose_segmented(
-    shift: np.ndarray, lo: np.ndarray, hi: np.ndarray, pos: np.ndarray
-) -> None:
-    """Segmented inclusive prefix composition (Hillis–Steele doubling).
-
-    ``(shift, lo, hi)`` hold one saturating map
-    ``s -> min(hi, max(lo, s + shift))`` per run and are updated in place
-    to the composition of every map from the segment head through that
-    run; ``pos`` is each run's offset within its segment.
-    """
-    if len(pos) == 0:
-        return
-    longest = int(pos.max()) + 1
-    dist = 1
-    while dist < longest:
-        rows = np.flatnonzero(pos >= dist)
-        prev = rows - dist
-        shift_f, lo_f, hi_f = shift[prev], lo[prev], hi[prev]
-        shift_g, lo_g, hi_g = shift[rows], lo[rows], hi[rows]
-        lo[rows] = np.minimum(hi_g, np.maximum(lo_g, lo_f + shift_g))
-        hi[rows] = np.minimum(hi_g, np.maximum(lo_g, hi_f + shift_g))
-        shift[rows] = shift_f + shift_g
-        dist <<= 1
-
-
-def counter_scan(
-    keys: np.ndarray,
-    deltas: np.ndarray,
-    init_states: np.ndarray,
-    num_counters: int,
-    max_state: int = 3,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generalized counter-major scan over saturating counters.
-
-    Extends the gshare run machinery in two directions needed by the
-    feedback-coupled kernels (:mod:`repro.sim.batch_bimode`): each
-    counter starts from its *own* initial state (``init_states``, e.g. a
-    live table snapshot rather than a power-on constant), and each
-    access carries a delta in ``{-1, 0, +1}`` — ``0`` meaning the access
-    reads the counter without training it (a skipped partial update).
-
-    Parameters
-    ----------
-    keys:
-        Per-access counter ids, time order, in ``[0, num_counters)``.
-    deltas:
-        Per-access counter movement, same length as ``keys``.
-    init_states:
-        ``(num_counters,)`` counter states before the first access.
-    num_counters:
-        Size of the counter space.
-    max_state:
-        Saturation ceiling (``3`` for the classic 2-bit counter;
-        ``(1 << bits) - 1`` for the multi-bit bimodal ablations).
-
-    Returns
-    -------
-    ``(pre_states, end_states)`` — the state each access *observes*
-    (before its own delta, in time order) and the final state of every
-    counter after all accesses.
-    """
-    keys = np.asarray(keys)
-    deltas = np.asarray(deltas)
-    init_states = np.asarray(init_states, dtype=np.int32)
-    n = len(keys)
-    end_states = init_states.copy()
-    if n == 0:
-        return np.empty(0, dtype=np.int32), end_states
-    keys32 = keys.astype(np.int32, copy=False)
-
-    order = _stable_group_order(keys32, num_counters)
-    grouped_keys = keys32[order]
-    grouped_deltas = deltas[order].astype(np.int32, copy=False)
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(grouped_keys[1:], grouped_keys[:-1], out=seg_start[1:])
-    run_start = seg_start.copy()
-    run_start[1:] |= grouped_deltas[1:] != grouped_deltas[:-1]
-
-    run_first = np.flatnonzero(run_start)
-    num_runs = len(run_first)
-    run_len = np.empty(num_runs, dtype=np.int32)
-    run_len[:-1] = np.diff(run_first)
-    run_len[-1] = n - run_first[-1]
-    run_delta = grouped_deltas[run_first]
-
-    # Elementary maps: a +1 run of length r is (c=r, lo=min(r,M), hi=M),
-    # a -1 run is (c=-r, lo=0, hi=max(M-r,0)), a 0 run is the identity.
-    shift = run_delta * run_len
-    lo = np.where(run_delta > 0, np.minimum(run_len, max_state), 0).astype(np.int32)
-    hi = np.where(
-        run_delta < 0, np.maximum(max_state - run_len, 0), max_state
-    ).astype(np.int32)
-
-    seg_start_runs = seg_start[run_first]
-    seg_first_run = np.flatnonzero(seg_start_runs)
-    seg_id_runs = np.cumsum(seg_start_runs, dtype=np.int64) - 1
-    pos = np.arange(num_runs, dtype=np.int64) - seg_first_run[seg_id_runs]
-
-    _compose_segmented(shift, lo, hi, pos)
-
-    # Per-run start state: the counter's own init at segment heads,
-    # otherwise the previous run's inclusive composition applied to it.
-    seg_init = init_states[grouped_keys[run_first]]
-    run_s0 = seg_init.copy()
-    interior = np.flatnonzero(~seg_start_runs)
-    prev = interior - 1
-    run_s0[interior] = np.minimum(
-        hi[prev], np.maximum(lo[prev], seg_init[interior] + shift[prev])
-    )
-
-    # Within a run the automaton moves monotonically (or not at all).
-    run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
-    offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
-    state_grouped = np.clip(
-        run_s0[run_id] + run_delta[run_id] * offset_in_run, 0, max_state
-    ).astype(np.int32)
-    pre_states = np.empty(n, dtype=np.int32)
-    pre_states[order] = state_grouped
-
-    # Final state of every touched counter: the segment's last run's
-    # inclusive composition applied to the segment's initial state.
-    seg_last_run = np.append(seg_first_run[1:], num_runs) - 1
-    touched = grouped_keys[run_first[seg_first_run]]
-    end_states[touched] = np.minimum(
-        hi[seg_last_run],
-        np.maximum(lo[seg_last_run], init_states[touched] + shift[seg_last_run]),
-    )
-    return pre_states, end_states
-
-
-def _lane_keys(
+def gshare_lane_detailed(
     lane: GShareLane,
     trace: BranchTrace,
-    histories_cache: Dict[int, np.ndarray],
-) -> np.ndarray:
-    if lane.history_bits not in histories_cache:
-        histories_cache[lane.history_bits] = global_history_stream(
-            trace.outcomes, lane.history_bits
-        )
-    keys = gshare_index_stream(
-        trace.pcs,
-        histories_cache[lane.history_bits],
-        lane.index_bits,
-        lane.history_bits,
-    )
-    return keys.astype(np.int32, copy=False)
-
-
-def gshare_lane_predictions(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
-) -> np.ndarray:
-    """Per-branch predictions of every lane over one trace.
-
-    Returns a ``(len(lanes), len(trace))`` boolean array whose row ``k``
-    is bit-for-bit what ``GSharePredictor(lanes[k].index_bits,
-    lanes[k].history_bits)`` would predict from power-on state.
-    """
-    lanes = list(lanes)
-    n = len(trace)
-    predictions = np.empty((len(lanes), n), dtype=bool)
-    if not lanes or n == 0:
-        return predictions
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    for k, lane in enumerate(lanes):
-        keys = _lane_keys(lane, trace, histories_cache)
-        order, run_first, run_len, run_out, run_s0 = _lane_runs(
-            keys, outcomes, lane.table_size, init
-        )
-        # Within a run the automaton is monotone: the j-th access of a
-        # taken run sees min(3, s0 + j), of a not-taken run max(0, s0 - j).
-        run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
-        offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
-        s0 = run_s0[run_id]
-        state = np.where(
-            run_out[run_id],
-            np.minimum(3, s0 + offset_in_run),
-            np.maximum(0, s0 - offset_in_run),
-        )
-        predictions[k, order] = state >= 2
-    return predictions
-
-
-def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[starts] = True
-    return mask
-
-
-def gshare_lane_detailed(
-    lane: GShareLane, trace: BranchTrace, init: int = WEAKLY_TAKEN
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
 
-    The counting-sort kernel already groups accesses per counter, so the
-    attribution the detailed analysis needs is the very index stream the
-    kernel sorts by — emitting it costs one extra array view.  When the
-    compiled step driver (:mod:`repro.sim._cstep`) is available the
-    per-branch automaton runs there instead, skipping the counter-major
-    transpose entirely.  Both paths are bit-for-bit what
+    The counter id of an access is its PHT index, so the attribution is
+    the index stream the compiled loop walks.  Bit-for-bit what
     ``GSharePredictor.simulate_detailed`` records from power-on state.
+    ``hist_cache`` (``{history_bits: stream}``) shares history streams
+    across the lanes of one family.
     """
-    n = len(trace)
-    if n == 0:
+    if len(trace) == 0:
         return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    keys = _lane_keys(lane, trace, histories_cache)
-
-    from repro.sim import _cstep
-
-    if _cstep.available():
-        table = np.full(lane.table_size, init, dtype=np.int8)
-        preds = _cstep.gshare_detailed(
-            np.ascontiguousarray(keys), outcomes.view(np.uint8), table
+    if hist_cache is None:
+        hist_cache = {}
+    if lane.history_bits not in hist_cache:
+        hist_cache[lane.history_bits] = global_history_stream(
+            trace.outcomes, lane.history_bits
         )
-        return preds.view(bool), keys.astype(np.int64)
-
-    order, run_first, run_len, run_out, run_s0 = _lane_runs(
-        keys, outcomes, lane.table_size, init
+    keys = gshare_index_stream(
+        trace.pcs, hist_cache[lane.history_bits], lane.index_bits, lane.history_bits
+    ).astype(np.int32)
+    table = np.full(lane.table_size, WEAKLY_TAKEN, dtype=np.int8)
+    preds = _cstep.gshare_detailed(
+        keys, np.ascontiguousarray(trace.outcomes).view(np.uint8), table
     )
-    run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
-    offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
-    s0 = run_s0[run_id]
-    state = np.where(
-        run_out[run_id],
-        np.minimum(3, s0 + offset_in_run),
-        np.maximum(0, s0 - offset_in_run),
-    )
-    predictions = np.empty(n, dtype=bool)
-    predictions[order] = state >= 2
-    return predictions, keys.astype(np.int64)
-
-
-def gshare_lane_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
-) -> List[float]:
-    """Misprediction rate of every lane over one trace.
-
-    Rates are mispredictions / branches with the same integer counts as
-    :attr:`SimulationResult.misprediction_rate`, so they agree
-    byte-for-byte with the scalar engine's.  Unlike
-    :func:`gshare_lane_predictions` this never materializes per-access
-    state: a run's mispredictions have a closed form in its start state.
-    """
-    lanes = list(lanes)
-    n = len(trace)
-    if n == 0:
-        return [0.0] * len(lanes)
-    from repro import health
-
-    health.engine_used("gshare-kernel", "numpy", cells=len(lanes))
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    rates: List[float] = []
-    for lane in lanes:
-        keys = _lane_keys(lane, trace, histories_cache)
-        _, _, run_len, run_out, run_s0 = _lane_runs(
-            keys, outcomes, lane.table_size, init
-        )
-        # Taken run: accesses j with min(3, s0+j) < 2 mispredict, i.e.
-        # clip(2-s0, 0, r) of them; not-taken run: clip(s0-1, 0, r).
-        missed = np.where(
-            run_out,
-            np.clip(2 - run_s0, 0, run_len),
-            np.clip(run_s0 - 1, 0, run_len),
-        )
-        rates.append(int(missed.sum()) / n)
-    return rates
-
-
-#: Upper bound on stacked (lane, access) pairs handled per chunk by the
-#: numpy fused fallback; bounds the working set of the counting sort.
-_STACK_BUDGET = 8_000_000
-
-
-def _stacked_family_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int
-) -> List[float]:
-    """Numpy fallback for the fused family pass: lanes are stacked into
-    one global counter space (each lane's PHT at its own base offset)
-    and the whole stack goes through a single counter-major run
-    decomposition; per-lane misprediction counts come back out of the
-    run reduction by binning runs on their lane's counter range.  Lane
-    chunks are sized so the stacked access stream stays bounded.
-    """
-    n = len(trace)
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    rates: List[float] = []
-    per_chunk = max(1, _STACK_BUDGET // max(n, 1))
-    for start in range(0, len(lanes), per_chunk):
-        chunk = list(lanes[start : start + per_chunk])
-        bases = np.zeros(len(chunk), dtype=np.int64)
-        parts: List[np.ndarray] = []
-        total = 0
-        for j, lane in enumerate(chunk):
-            bases[j] = total
-            parts.append(_lane_keys(lane, trace, histories_cache) + np.int32(total))
-            total += lane.table_size
-        stacked_keys = np.concatenate(parts)
-        stacked_outs = np.tile(outcomes, len(chunk))
-        order, run_first, run_len, run_out, run_s0 = _lane_runs(
-            stacked_keys, stacked_outs, total, init
-        )
-        missed = np.where(
-            run_out,
-            np.clip(2 - run_s0, 0, run_len),
-            np.clip(run_s0 - 1, 0, run_len),
-        )
-        # Lanes occupy disjoint contiguous counter ranges, so a run's
-        # counter id places it in exactly one lane.
-        run_lane = np.searchsorted(bases, stacked_keys[order[run_first]], "right") - 1
-        per_lane = np.bincount(run_lane, weights=missed, minlength=len(chunk))
-        rates.extend(int(m) / n for m in per_lane)
-    return rates
+    return preds.view(bool), keys.astype(np.int64)
 
 
 def gshare_family_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
+    lanes: Sequence[GShareLane], trace: BranchTrace
 ) -> List[float]:
     """Misprediction rate of every lane via the fused single-pass driver.
 
     The whole lane family advances in ONE pass over the trace: the
     compiled driver (:func:`repro.sim._cstep.gshare_fused`) keeps every
     lane's PHT in a shared arena and reduces to per-lane misprediction
-    counts in-loop, so neither index streams nor per-access state are
-    ever materialized.  Without a compiler the family falls back to the
-    stacked counter-major numpy pass (health-reported).  Rates are
-    bit-identical to :func:`gshare_lane_rates` and the scalar engine.
+    counts in-loop.  Rates are mispredictions / branches with the same
+    integer counts as the scalar engine, so they agree byte for byte.
     """
     lanes = list(lanes)
     n = len(trace)
-    if not lanes:
-        return []
     if n == 0:
         return [0.0] * len(lanes)
-    from repro import health
-    from repro.sim import _cstep
-
-    if _cstep.available():
-        health.engine_used("gshare-fused", "c", cells=len(lanes))
-        sizes = np.array([lane.table_size for lane in lanes], dtype=np.int64)
-        base = np.zeros(len(lanes), dtype=np.int64)
-        base[1:] = np.cumsum(sizes)[:-1]
-        imask = np.array([lane.table_size - 1 for lane in lanes], dtype=np.int64)
-        hmask = np.array(
-            [(1 << lane.history_bits) - 1 for lane in lanes], dtype=np.int64
-        )
-        tables = np.full(int(sizes.sum()), init, dtype=np.int8)
-        miss = _cstep.gshare_fused(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            imask,
-            hmask,
-            base,
-            tables,
-        )
-        return [int(m) / n for m in miss]
-    health.engine_used(
-        "gshare-fused",
-        "numpy",
-        expected="c",
-        cells=len(lanes),
-        reason=_cstep.unavailable_reason() or "",
+    sizes = np.array([lane.table_size for lane in lanes], dtype=np.int64)
+    base = np.zeros(len(lanes), dtype=np.int64)
+    base[1:] = np.cumsum(sizes)[:-1]
+    imask = sizes - 1
+    hmask = np.array([(1 << lane.history_bits) - 1 for lane in lanes], dtype=np.int64)
+    tables = np.full(int(sizes.sum()), WEAKLY_TAKEN, dtype=np.int8)
+    miss = _cstep.gshare_fused(
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        imask,
+        hmask,
+        base,
+        tables,
     )
-    return _stacked_family_rates(lanes, trace, init)
+    return [int(m) / n for m in miss]

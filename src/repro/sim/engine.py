@@ -6,12 +6,11 @@ Thin orchestration over the predictor batch interface: reset, run,
 (fresh state, consistent result packaging).
 
 Detailed (Section-4) simulation additionally dispatches through the
-batch attribution kernels: gshare and bi-mode through their dedicated
-fused kernels (:mod:`repro.sim.batch` / :mod:`repro.sim.batch_bimode`),
-every other registered scheme through its ``detailed`` lane kernel in
-the registry (:mod:`repro.sim.kernels`).  ``REPRO_DETAILED_KERNEL``
-pins the choice to ``batch`` or ``scalar`` (default ``auto``);
-``REPRO_KERNEL`` picks the engine *within* the batch tier.  Under
+batch attribution kernels of the kernel registry
+(:mod:`repro.sim.kernels`): the predictor's configuration is mapped
+back to its spec and lane, and the scheme's ``detailed`` kernel runs
+when the compiled driver is available.  ``REPRO_DETAILED_KERNEL`` pins
+the choice to ``batch`` or ``scalar`` (default ``auto``).  Under
 ``auto`` every fallback is reported through :mod:`repro.health`; under
 the explicit ``batch`` pin a scheme without a usable batch kernel
 raises ``RuntimeError`` instead of silently running the scalar loop.
@@ -103,62 +102,32 @@ def _run_detailed_batch(
     ``None`` means the caller should fall back to the scalar
     ``simulate_detailed`` path; the fallback is recorded as a health
     event under ``auto`` and raises ``RuntimeError`` under the explicit
-    ``batch`` pin.  Dispatch covers every registered scheme: gshare and
-    bi-mode keep their dedicated fused attribution kernels, everything
-    else resolves through the kernel registry
+    ``batch`` pin.  The predictor resolves through the kernel registry
     (:func:`repro.sim.kernels.spec_for_predictor` -> lane -> the
-    scheme's ``detailed`` lane kernel), with the engine within the
-    batch tier following ``REPRO_KERNEL``.  The batch path never
-    touches the predictor's own tables — callers under ``reset=True``
-    semantics observe power-on state either way.
+    scheme's ``detailed`` kernel), whose engine follows
+    ``REPRO_KERNEL``.  The batch path never touches the predictor's own
+    tables — callers under ``reset=True`` semantics observe power-on
+    state either way.
     """
     from repro import health
-    from repro.core.bimode import BiModePredictor
-    from repro.predictors.gshare import GSharePredictor
     from repro.sim import kernels, lanes
-    from repro.sim.batch import gshare_lane_detailed, lane_for_spec
-    from repro.sim.batch_bimode import BiModeLane, bimode_lane_detailed
 
     try:
-        if isinstance(predictor, GSharePredictor):
-            lane = lane_for_spec(predictor.name)
-            if lane is None:  # pragma: no cover - name always parses
-                raise ValueError(f"unbatchable gshare spec {predictor.name!r}")
-            predictions, counter_ids = gshare_lane_detailed(lane, trace)
-            num_counters = lane.table_size
-        elif isinstance(predictor, BiModePredictor):
-            lane = BiModeLane(
-                dir_bits=predictor.direction_index_bits,
-                hist_bits=predictor.history_bits,
-                choice_bits=predictor.choice_index_bits,
-                full_update=predictor.full_update,
-                choice_uses_history=predictor.choice_uses_history,
+        spec = kernels.spec_for_predictor(predictor)
+        kind, lane = ("scalar", None) if spec is None else kernels.kernel_for_spec(spec)
+        if lane is None:
+            _fallback(
+                predictor, mode, f"no batch attribution kernel for {predictor.name}"
             )
-            predictions, counter_ids = bimode_lane_detailed(lane, trace)
-            num_counters = 2 * lane.bank_size
-        else:
-            spec = kernels.spec_for_predictor(predictor)
-            kind, lane = ("scalar", None) if spec is None else kernels.kernel_for_spec(spec)
-            entry = kernels.PORTED.get(kind)
-            if entry is None or entry.detailed is None or lane is None:
-                _fallback(
-                    predictor, mode, f"no batch attribution kernel for {predictor.name}"
-                )
-                return None
-            engines, _, reason = kernels._resolve_engines(
-                entry, [lane], kernels.kernel_mode()
-            )
-            if engines[0] == "scalar":
-                # REPRO_KERNEL=scalar, or a sequential-only scheme with
-                # no compiler: the batch tier has nothing to run with.
-                _fallback(
-                    predictor,
-                    mode,
-                    reason or "REPRO_KERNEL=scalar pins the scalar engine",
-                )
-                return None
-            predictions, counter_ids = entry.detailed(lane, trace, engines[0], None)
-            num_counters = lanes.detailed_num_counters(lane)
+            return None
+        engine, reason = kernels.family_engine(kind)
+        if engine == "scalar":
+            # REPRO_KERNEL=scalar, or no compiler: the batch tier has
+            # nothing to run with.
+            _fallback(predictor, mode, reason)
+            return None
+        predictions, counter_ids = kernels.KERNELS[kind].detailed(lane, trace)
+        num_counters = lanes.detailed_num_counters(lane)
     except RuntimeError:
         raise  # pinned-mode refusals (and REPRO_KERNEL=c without a compiler)
     except Exception as exc:  # fall back rather than lose the analysis

@@ -1,69 +1,45 @@
-"""Scheme-agnostic kernel registry: spec -> fastest bit-exact engine.
+"""Scheme-agnostic kernel registry: spec -> batch kernel or scalar fallback.
 
-Before this layer each fast path was a special case: gshare had the
-counting-sort lanes and fused C arena (:mod:`repro.sim.batch`),
-bi-mode had its compiled step loop (:mod:`repro.sim.batch_bimode`),
-and the other ~18 registered schemes ran the scalar engine everywhere.
-The registry makes kernel dispatch a lookup:
+Every registered predictor scheme has exactly three implementations:
 
-``kernel_for_spec(spec)`` resolves any predictor spec to a *kernel
-kind* plus a parsed lane description.  Kinds are:
+* its **batch kernel** — a compiled loop from :mod:`repro.sim._cstep`:
+  the fused family passes of :mod:`repro.sim.batch` (gshare) and
+  :mod:`repro.sim.batch_bimode` (bi-mode), and the per-lane loops of
+  :mod:`repro.sim.lanes` for every other scheme.  The static schemes
+  have no automaton; their vectorized one-shot is their batch kernel
+  and runs on every host;
+* its **scalar predictor** (:mod:`repro.predictors`, :mod:`repro.core`)
+  — the reference implementation, and the fallback on a host without
+  a C compiler;
+* the **dict oracle** (:mod:`repro.verify.oracle`) — the independent
+  check the equivalence suites and the benchmark gate compare against.
 
-* ``"gshare"`` / ``"bimode"`` — the pre-existing fused family kernels,
-  unchanged and still owning their dedicated health components;
-* one kind per **ported scheme** — bimodal, the two-level family
-  (gag/gas/gap/gselect/pag/pas/pap), agree, gskew, tournament,
-  tri-mode, YAGS, and the second wave: perceptron, the bias filter
-  (over its gshare/bimodal sub-predictors) and the three static
-  schemes — executed by the lane kernels of :mod:`repro.sim.lanes`;
-* ``"scalar"`` — any spec whose knobs the lane parser rejects
-  (out-of-range geometry, unknown options, a bias-filter
-  sub-predictor without a kernel lane), run per-cell through the
-  scalar engine.  Since the second wave, :data:`SCALAR_ONLY` is empty:
-  every registered scheme has a batch kernel, and the meta-test
-  asserting the set stays empty keeps it that way.
-
-``family_rates(kind, specs, lanes, trace)`` evaluates one family,
-choosing the engine per the ``REPRO_KERNEL`` pin and reporting every
-dispatch decision through :mod:`repro.health` (component
-``"<kind>-kernel"``).
+``kernel_for_spec(spec)`` resolves a spec to a *kernel kind* (its
+scheme name, or ``"scalar"`` when no lane parser accepts its knobs)
+plus a parsed lane description.  ``family_rates``,
+``family_predictions`` and ``family_detailed`` evaluate one family of
+lanes, choosing the engine with :func:`family_engine` and reporting
+the choice through :mod:`repro.health` (component ``"<kind>-kernel"``).
 
 Dispatch
 --------
-``REPRO_KERNEL`` mirrors the per-scheme ``REPRO_BIMODE_KERNEL`` /
-``REPRO_DETAILED_KERNEL`` pins, but applies to every scheme at once:
+One knob, ``REPRO_KERNEL``, selects the engine for every scheme:
 
-* ``auto`` (default) — compiled loops when a C compiler is available,
-  otherwise the numpy lane kernels (degradation health-reported);
-* ``c`` — compiled loops or ``RuntimeError`` (no silent fallback);
-* ``numpy`` — the numpy lane kernels; schemes whose update feeds
-  predictor state back into training (e-gskew, tri-mode, YAGS, the
-  perceptron) have no counter-major form and degrade to the scalar
-  engine, health-reported;
+* ``auto`` (default) — the compiled kernels when a C compiler is
+  available; otherwise every compiled family runs its scalar predictor,
+  reported as one degraded health event per family naming the reason;
+* ``c`` — the compiled kernels, or ``RuntimeError`` (no silent
+  fallback);
 * ``scalar`` — everything through the scalar engine (the fused planner
   routes every spec to the scalar family, with the pin as the reason).
 
-Precedence: a scheme-specific pin (``REPRO_BIMODE_KERNEL``) and an
-explicit ``REPRO_FUSED=on`` override ``REPRO_KERNEL`` for the scheme
-or family they name.
-
-Engine tiers
-------------
-``registered_schemes()`` maps every scheme name of
-:func:`repro.core.registry.available_schemes` to its declared tier:
-
-* ``"fused"`` — dedicated single-pass family kernel (gshare, bimode);
-* ``"lane"`` — compiled loop + numpy form (counter-major scans, the
-  bias-filter decomposition, the statics' vectorized one-shots);
-* ``"cloop"`` — compiled per-access loop only (scalar fallback when no
-  compiler): e-gskew's partial update, tri-mode, YAGS, perceptron;
-* ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty since the
-  second wave.
+``REPRO_NO_CC=1`` vetoes the compiler, which is how the no-compiler
+platform is exercised.
 
 The verification suite (``tests/test_kernels.py``) is generated from
-this mapping, so a scheme that registers in ``core/registry.py``
-without declaring a tier here — or without oracle and golden coverage —
-fails CI by construction.
+:data:`KERNELS`, so a scheme that registers in ``core/registry.py``
+without a kernel here — or without oracle and golden coverage — fails
+CI by construction.
 """
 
 from __future__ import annotations
@@ -76,17 +52,25 @@ import numpy as np
 
 from repro.sim import _cstep
 from repro.sim import lanes as _lanes
+from repro.sim.batch import gshare_family_rates, gshare_lane_detailed, lane_for_spec
+from repro.sim.batch_bimode import (
+    BiModeLane,
+    bimode_family_rates,
+    bimode_lane_detailed,
+    bimode_lane_for_spec,
+)
 from repro.traces.record import BranchTrace
 
 __all__ = [
     "SCALAR_ONLY",
     "BIASFILTER_SUBS",
     "KernelEntry",
+    "KERNELS",
     "kernel_mode",
     "kernel_for_spec",
+    "family_engine",
     "spec_for_predictor",
     "registered_schemes",
-    "registered_detailed_tiers",
     "family_order",
     "family_rates",
     "family_predictions",
@@ -94,10 +78,9 @@ __all__ = [
     "planner_vetoes",
 ]
 
-#: Schemes deliberately left on the scalar engine: empty since the
-#: second wave (perceptron + bias filter compiled loops, static
-#: one-shot lanes).  A meta-test asserts it stays empty, so a future
-#: scheme cannot quietly register without a batch kernel.
+#: Schemes deliberately left on the scalar engine: empty since every
+#: registered scheme gained a batch kernel.  A meta-test asserts it
+#: stays empty, so a future scheme cannot quietly register without one.
 SCALAR_ONLY = frozenset()
 
 #: Sub-predictor schemes the bias-filter kernel executes in-lane; a
@@ -108,127 +91,85 @@ BIASFILTER_SUBS = _lanes.BIASFILTER_SUBS
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """One ported scheme: how to parse its specs and run its lanes."""
+    """One scheme's batch kernel: how to parse its specs and run its lanes."""
 
     scheme: str
-    tier: str  # "lane" (c+numpy) | "cloop" (c only, scalar fallback)
     lane_for_spec: Callable[[str], Optional[object]]
-    predictions: Callable[..., np.ndarray]
-    numpy_ok: Callable[[object], bool]  # lane -> numpy engine exists?
-    #: Optional direct rate computation (lane, trace) -> float for
-    #: schemes whose misprediction count reduces without materializing
-    #: predictions (the statics); must be bit-identical to the
-    #: prediction path.
-    rates: Optional[Callable[[object, BranchTrace], float]] = None
-    #: Section-4 attribution kernel: ``(lane, trace, engine, hist_cache)
-    #: -> (predictions, counter_ids)``, bit-identical to the scalar
-    #: ``simulate_detailed`` loop.  The detailed tier shares the
-    #: prediction tier's engine matrix (``numpy_ok`` gates both) — the
-    #: completeness meta-test asserts no ported scheme leaves this
-    #: ``None``.
-    detailed: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
+    #: Section-4 attribution kernel ``(lane, trace, hist_cache) ->
+    #: (predictions, counter_ids)``, bit-identical to the scalar
+    #: ``simulate_detailed`` loop from power-on state.
+    detailed: Callable[..., Tuple[np.ndarray, np.ndarray]]
+    #: Prediction-only kernel with the same signature, for schemes whose
+    #: loop skips the attribution work; default ``detailed(...)[0]``.
+    predictions: Optional[Callable[..., np.ndarray]] = None
+    #: Whole-family rate kernel ``(lanes, trace) -> [rate]`` for schemes
+    #: that reduce to miss counts without materializing predictions (the
+    #: fused gshare/bi-mode passes, the statics); must be bit-identical
+    #: to the prediction path.
+    rates: Optional[Callable[[Sequence[object], BranchTrace], List[float]]] = None
+    #: ``"fused"`` for the single-pass family kernels, ``"lane"`` for
+    #: per-lane kernels sharing a family's history streams.
+    tier: str = "lane"
+    #: False for the statics, whose vectorized one-shot needs no compiler.
+    compiled: bool = True
 
 
-def _always(lane: object) -> bool:
-    return True
-
-
-def _never(lane: object) -> bool:
-    return False
-
-
-_TWOLEVEL = {
-    scheme: KernelEntry(
-        scheme=scheme,
-        tier="lane",
-        lane_for_spec=_lanes.twolevel_lane_for_spec,
-        predictions=_lanes.twolevel_predictions,
-        numpy_ok=_always,
-        detailed=_lanes.twolevel_detailed,
-    )
-    for scheme in ("gag", "gas", "gap", "gselect", "pag", "pas", "pap")
-}
-
-#: The ported wave, in planner/display order.
-PORTED: Dict[str, KernelEntry] = {
-    "bimodal": KernelEntry(
-        "bimodal",
-        "lane",
-        _lanes.bimodal_lane_for_spec,
-        _lanes.bimodal_predictions,
-        _always,
-        detailed=_lanes.bimodal_detailed,
+#: Every scheme's kernel, in planner/display order (fused families first).
+KERNELS: Dict[str, KernelEntry] = {
+    "gshare": KernelEntry(
+        "gshare",
+        lane_for_spec,
+        gshare_lane_detailed,
+        rates=gshare_family_rates,
+        tier="fused",
     ),
-    **_TWOLEVEL,
-    "agree": KernelEntry(
-        "agree",
-        "lane",
-        _lanes.agree_lane_for_spec,
-        _lanes.agree_predictions,
-        _always,
-        detailed=_lanes.agree_detailed,
+    "bimode": KernelEntry(
+        "bimode",
+        bimode_lane_for_spec,
+        bimode_lane_detailed,
+        rates=bimode_family_rates,
+        tier="fused",
     ),
+    "bimodal": KernelEntry("bimodal", _lanes.bimodal_lane_for_spec, _lanes.bimodal_detailed),
+    **{
+        scheme: KernelEntry(scheme, _lanes.twolevel_lane_for_spec, _lanes.twolevel_detailed)
+        for scheme in ("gag", "gas", "gap", "gselect", "pag", "pas", "pap")
+    },
+    "agree": KernelEntry("agree", _lanes.agree_lane_for_spec, _lanes.agree_detailed),
     "gskew": KernelEntry(
-        "gskew",
-        "cloop",
-        _lanes.gskew_lane_for_spec,
-        _lanes.gskew_predictions,
-        # total-update gskew is feedback-free, e-gskew is not
-        lambda lane: not lane.enhanced,
-        detailed=_lanes.gskew_detailed,
+        "gskew", _lanes.gskew_lane_for_spec, _lanes.gskew_detailed, _lanes.gskew_predictions
     ),
     "tournament": KernelEntry(
-        "tournament",
-        "lane",
-        _lanes.tournament_lane_for_spec,
-        _lanes.tournament_predictions,
-        _always,
-        detailed=_lanes.tournament_detailed,
+        "tournament", _lanes.tournament_lane_for_spec, _lanes.tournament_detailed
     ),
     "trimode": KernelEntry(
         "trimode",
-        "cloop",
         _lanes.trimode_lane_for_spec,
+        _lanes.trimode_detailed,
         _lanes.trimode_predictions,
-        _never,
-        detailed=_lanes.trimode_detailed,
     ),
     "yags": KernelEntry(
-        "yags",
-        "cloop",
-        _lanes.yags_lane_for_spec,
-        _lanes.yags_predictions,
-        _never,
-        detailed=_lanes.yags_detailed,
+        "yags", _lanes.yags_lane_for_spec, _lanes.yags_detailed, _lanes.yags_predictions
     ),
-    # -- second wave: the former SCALAR_ONLY tier -------------------------------
     "perceptron": KernelEntry(
         "perceptron",
-        "cloop",
         _lanes.perceptron_lane_for_spec,
+        _lanes.perceptron_detailed,
         _lanes.perceptron_predictions,
-        # the threshold gate reads the trained dot product: training
-        # feeds back into training, so no counter-major form exists
-        _never,
-        detailed=_lanes.perceptron_detailed,
     ),
     "biasfilter": KernelEntry(
         "biasfilter",
-        "lane",
         _lanes.biasfilter_lane_for_spec,
+        _lanes.biasfilter_detailed,
         _lanes.biasfilter_predictions,
-        _always,
-        detailed=_lanes.biasfilter_detailed,
     ),
     **{
         scheme: KernelEntry(
-            scheme=scheme,
-            tier="lane",
-            lane_for_spec=_lanes.static_lane_for_spec,
-            predictions=_lanes.static_predictions,
-            numpy_ok=_always,
+            scheme,
+            _lanes.static_lane_for_spec,
+            _lanes.static_detailed,
             rates=_lanes.static_rates,
-            detailed=_lanes.static_detailed,
+            compiled=False,
         )
         for scheme in ("always-taken", "always-not-taken", "btfnt")
     },
@@ -236,50 +177,150 @@ PORTED: Dict[str, KernelEntry] = {
 
 
 def kernel_mode() -> str:
-    """The ``REPRO_KERNEL`` pin: ``auto`` (default), ``c``, ``numpy``
-    or ``scalar``."""
+    """The ``REPRO_KERNEL`` knob: ``auto`` (default), ``c`` or ``scalar``."""
     mode = os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
-    if mode not in ("auto", "c", "numpy", "scalar"):
-        raise ValueError(f"REPRO_KERNEL must be auto/c/numpy/scalar, got {mode!r}")
+    if mode not in ("auto", "c", "scalar"):
+        raise ValueError(f"REPRO_KERNEL must be auto/c/scalar, got {mode!r}")
     return mode
 
 
 def family_order() -> Tuple[str, ...]:
     """Every family kind, in planner order (fused first, scalar last)."""
-    return ("gshare", "bimode", *PORTED, "scalar")
+    return (*KERNELS, "scalar")
 
 
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
     """Resolve a spec to ``(kind, lane)``; ``("scalar", None)`` when no
     lane kernel covers it.
 
-    Resolution is structural only — the ``REPRO_KERNEL`` pin changes
-    which *engine* runs a family, not which family a spec belongs to
-    (except ``scalar``, which the planner applies before ever asking).
-    A spec whose knobs a lane parser rejects (out-of-range geometry,
-    unknown options) falls to scalar so the scalar constructor can
-    raise its original, descriptive error.
+    Resolution is structural only — ``REPRO_KERNEL`` changes which
+    *engine* runs a family, not which family a spec belongs to (except
+    ``scalar``, which the planner applies before ever asking).  A spec
+    whose knobs a lane parser rejects (out-of-range geometry, unknown
+    options) falls to scalar so the scalar constructor can raise its
+    original, descriptive error.
     """
-    scheme = spec.split(":", 1)[0].strip()
-    if scheme == "gshare":
-        from repro.sim.batch import lane_for_spec
+    entry = KERNELS.get(spec.split(":", 1)[0].strip())
+    lane = entry.lane_for_spec(spec) if entry is not None else None
+    if lane is None:
+        return "scalar", None
+    return entry.scheme, lane
 
-        lane = lane_for_spec(spec)
-        if lane is not None:
-            return "gshare", lane
-    elif scheme == "bimode":
-        from repro.sim.batch_bimode import bimode_lane_for_spec
 
-        lane = bimode_lane_for_spec(spec)
-        if lane is not None:
-            return "bimode", lane
-    else:
-        entry = PORTED.get(scheme)
-        if entry is not None:
-            lane = entry.lane_for_spec(spec)
-            if lane is not None:
-                return scheme, lane
-    return "scalar", None
+def family_engine(kind: str) -> Tuple[str, str]:
+    """``(engine, reason)`` for one family of ``kind``.
+
+    ``engine`` is ``"c"`` (the compiled kernel), ``"vectorized"`` (the
+    statics' one-shot, which needs no compiler) or ``"scalar"`` (the
+    scalar predictor); ``reason`` says why the scalar engine was chosen.
+    ``REPRO_KERNEL=c`` without a compiler raises ``RuntimeError``.
+    """
+    mode = kernel_mode()
+    if mode == "scalar":
+        return "scalar", "REPRO_KERNEL=scalar pin"
+    if not KERNELS[kind].compiled:
+        return "vectorized", ""
+    if _cstep.available():
+        return "c", ""
+    if mode == "c":
+        raise RuntimeError(
+            "REPRO_KERNEL=c but no compiled driver is available "
+            f"({_cstep.unavailable_reason() or 'no C compiler'})"
+        )
+    return "scalar", _cstep.unavailable_reason() or "compiled driver unavailable"
+
+
+def _dispatch(kind: str, cells: int) -> str:
+    """Resolve and health-report one family's engine."""
+    from repro import health
+
+    engine, reason = family_engine(kind)
+    # Only a missing compiler is a degradation; the scalar pin asked
+    # for exactly what it got.
+    expected = "c" if engine == "scalar" and kernel_mode() != "scalar" else engine
+    health.engine_used(f"{kind}-kernel", engine, expected=expected, cells=cells, reason=reason)
+    return engine
+
+
+def family_predictions(
+    kind: str, specs: Sequence[str], lanes: Sequence[object], trace: BranchTrace
+) -> List[np.ndarray]:
+    """Per-branch predictions of every lane of one family.
+
+    Rows are bit-for-bit what the scalar predictor would emit from
+    power-on state; lanes of one family share precomputed history
+    streams.
+    """
+    from repro.core.registry import make_predictor
+    from repro.sim.engine import run
+
+    if len(specs) != len(lanes):
+        raise ValueError("specs and lanes must be parallel")
+    if _dispatch(kind, len(specs)) == "scalar":
+        return [
+            np.asarray(run(make_predictor(spec), trace).predictions, dtype=bool)
+            for spec in specs
+        ]
+    entry = KERNELS[kind]
+    hist_cache: Dict[int, np.ndarray] = {}
+    if entry.predictions is not None:
+        return [entry.predictions(lane, trace, hist_cache) for lane in lanes]
+    return [entry.detailed(lane, trace, hist_cache)[0] for lane in lanes]
+
+
+def family_detailed(
+    kind: str, specs: Sequence[str], lanes: Sequence[object], trace: BranchTrace
+) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """Section-4 attribution of every lane of one family.
+
+    Returns ``(predictions, counter_ids, num_counters)`` per lane,
+    bit-for-bit what the scalar ``simulate_detailed`` loop would emit
+    from power-on state.
+    """
+    from repro.core.registry import make_predictor
+
+    if len(specs) != len(lanes):
+        raise ValueError("specs and lanes must be parallel")
+    if _dispatch(kind, len(specs)) == "scalar":
+        out = []
+        for spec in specs:
+            detailed = make_predictor(spec).simulate_detailed(trace)
+            out.append(
+                (
+                    np.asarray(detailed.result.predictions, dtype=bool),
+                    detailed.counter_ids,
+                    detailed.num_counters,
+                )
+            )
+        return out
+    entry = KERNELS[kind]
+    hist_cache: Dict[int, np.ndarray] = {}
+    return [
+        (*entry.detailed(lane, trace, hist_cache), _lanes.detailed_num_counters(lane))
+        for lane in lanes
+    ]
+
+
+def family_rates(
+    kind: str, specs: Sequence[str], lanes: Sequence[object], trace: BranchTrace
+) -> List[float]:
+    """Misprediction rate of every lane of one family."""
+    from repro.core.registry import make_predictor
+    from repro.sim.engine import run
+
+    n = len(trace)
+    if n == 0:
+        return [0.0 for _ in specs]
+    entry = KERNELS[kind]
+    if entry.rates is None:
+        outcomes = trace.outcomes
+        return [
+            int(np.count_nonzero(preds != outcomes)) / n
+            for preds in family_predictions(kind, specs, lanes, trace)
+        ]
+    if _dispatch(kind, len(specs)) == "scalar":
+        return [run(make_predictor(spec), trace).misprediction_rate for spec in specs]
+    return entry.rates(lanes, trace)
 
 
 def spec_for_predictor(predictor: object) -> Optional[str]:
@@ -316,12 +357,13 @@ def spec_for_predictor(predictor: object) -> Optional[str]:
     if isinstance(p, GSharePredictor):
         return f"gshare:index={p.index_bits},hist={p.history_bits}"
     if isinstance(p, BiModePredictor):
-        if not p.full_update or not p.choice_uses_history:
-            return None  # ablation variants have no registry spec
-        return (
-            f"bimode:dir={p.direction_index_bits},hist={p.history_bits},"
-            f"choice={p.choice_index_bits}"
-        )
+        return BiModeLane(
+            dir_bits=p.direction_index_bits,
+            hist_bits=p.history_bits,
+            choice_bits=p.choice_index_bits,
+            full_update=p.full_update,
+            choice_uses_history=p.choice_uses_history,
+        ).spec
     if isinstance(p, BimodalPredictor):
         return f"bimodal:index={p.index_bits},bits={p.table.bits}"
     if isinstance(p, TwoLevelPredictor):
@@ -403,197 +445,9 @@ def registered_schemes() -> Dict[str, str]:
     :func:`repro.core.registry.available_schemes`; a newly registered
     scheme missing here fails that test by name.
     """
-    tiers: Dict[str, str] = {"gshare": "fused", "bimode": "fused"}
-    for scheme, entry in PORTED.items():
-        tiers[scheme] = entry.tier
-    for scheme in sorted(SCALAR_ONLY):
-        tiers[scheme] = "scalar"
+    tiers = {scheme: entry.tier for scheme, entry in KERNELS.items()}
+    tiers.update((scheme, "scalar") for scheme in sorted(SCALAR_ONLY))
     return tiers
-
-
-def registered_detailed_tiers() -> Dict[str, str]:
-    """Scheme name -> Section-4 attribution-kernel tier.
-
-    ``"fused"`` for the dedicated gshare/bimode attribution kernels,
-    the prediction tier (``"lane"``/``"cloop"``) for ported schemes
-    whose :class:`KernelEntry` carries a ``detailed`` kernel, and
-    ``"scalar"`` otherwise.  The completeness meta-test asserts no
-    registered scheme maps to ``"scalar"`` — every scheme's detailed
-    pipeline must be batched.
-    """
-    tiers: Dict[str, str] = {"gshare": "fused", "bimode": "fused"}
-    for scheme, entry in PORTED.items():
-        tiers[scheme] = entry.tier if entry.detailed is not None else "scalar"
-    for scheme in sorted(SCALAR_ONLY):
-        tiers[scheme] = "scalar"
-    return tiers
-
-
-# -- family evaluation --------------------------------------------------------------
-
-
-def _resolve_engines(
-    entry: KernelEntry, lanes: Sequence[object], mode: str
-) -> Tuple[List[str], str, str]:
-    """Per-lane engine choice plus ``(expected, fallback_reason)``.
-
-    Follows the ``bimode-kernel`` convention: in ``auto`` the expected
-    engine is the compiled loop, so running anything slower surfaces as
-    a degradation with the compiler's absence (or the scheme's missing
-    numpy form) as the reason.
-    """
-    compiled = _cstep.available()
-    if mode == "c" and not compiled:
-        raise RuntimeError(
-            "REPRO_KERNEL=c but no compiled driver is available "
-            "(no C compiler, or REPRO_NO_CC is set)"
-        )
-    expected = "c" if mode == "auto" else mode
-    engines: List[str] = []
-    reasons: List[str] = []
-    for lane in lanes:
-        if mode == "scalar":
-            engines.append("scalar")
-        elif mode == "c" or (mode == "auto" and compiled):
-            engines.append("c")
-        elif entry.numpy_ok(lane):
-            engines.append("numpy")
-            if mode == "auto":
-                reasons.append(_cstep.unavailable_reason() or "")
-        else:
-            engines.append("scalar")
-            reasons.append(
-                f"no numpy kernel for {entry.scheme} (sequential update feedback)"
-            )
-    reason = next((r for r in reasons if r), "")
-    return engines, expected, reason
-
-
-def family_predictions(
-    kind: str,
-    specs: Sequence[str],
-    lanes: Sequence[object],
-    trace: BranchTrace,
-    mode: Optional[str] = None,
-) -> List[np.ndarray]:
-    """Per-branch predictions of every lane of one ported family.
-
-    Rows are bit-for-bit what the scalar predictor would emit from
-    power-on state; the engine per lane follows ``REPRO_KERNEL`` (or an
-    explicit ``mode``), with the dispatch health-reported under
-    ``"<kind>-kernel"``.
-    """
-    from repro import health
-    from repro.core.registry import make_predictor
-    from repro.sim.engine import run
-
-    entry = PORTED[kind]
-    if len(specs) != len(lanes):
-        raise ValueError("specs and lanes must be parallel")
-    mode = kernel_mode() if mode is None else mode
-    engines, expected, reason = _resolve_engines(entry, lanes, mode)
-    for engine in dict.fromkeys(engines):
-        health.engine_used(
-            f"{kind}-kernel",
-            engine,
-            expected=expected,
-            cells=engines.count(engine),
-            reason=reason if engine != expected else "",
-        )
-    hist_cache: Dict[int, np.ndarray] = {}
-    out: List[np.ndarray] = []
-    for spec, lane, engine in zip(specs, lanes, engines):
-        if engine == "scalar":
-            result = run(make_predictor(spec), trace)
-            out.append(np.asarray(result.predictions, dtype=bool))
-        else:
-            out.append(entry.predictions(lane, trace, engine, hist_cache))
-    return out
-
-
-def family_detailed(
-    kind: str,
-    specs: Sequence[str],
-    lanes: Sequence[object],
-    trace: BranchTrace,
-    mode: Optional[str] = None,
-) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-    """Section-4 attribution of every lane of one ported family.
-
-    Returns ``(predictions, counter_ids, num_counters)`` per lane,
-    bit-for-bit what the scalar ``simulate_detailed`` loop would emit
-    from power-on state.  Engine choice per lane follows
-    ``REPRO_KERNEL`` (or an explicit ``mode``) exactly like
-    :func:`family_predictions` — the detailed kernels share the
-    prediction kernels' engine matrix — and dispatch is health-reported
-    under ``"<kind>-kernel"``.
-    """
-    from repro import health
-    from repro.core.registry import make_predictor
-
-    entry = PORTED[kind]
-    if entry.detailed is None:  # pragma: no cover - meta-test keeps this dead
-        raise RuntimeError(f"scheme {kind!r} has no detailed attribution kernel")
-    if len(specs) != len(lanes):
-        raise ValueError("specs and lanes must be parallel")
-    mode = kernel_mode() if mode is None else mode
-    engines, expected, reason = _resolve_engines(entry, lanes, mode)
-    for engine in dict.fromkeys(engines):
-        health.engine_used(
-            f"{kind}-kernel",
-            engine,
-            expected=expected,
-            cells=engines.count(engine),
-            reason=reason if engine != expected else "",
-        )
-    hist_cache: Dict[int, np.ndarray] = {}
-    out: List[Tuple[np.ndarray, np.ndarray, int]] = []
-    for spec, lane, engine in zip(specs, lanes, engines):
-        if engine == "scalar":
-            detailed = make_predictor(spec).simulate_detailed(trace)
-            out.append(
-                (
-                    np.asarray(detailed.result.predictions, dtype=bool),
-                    detailed.counter_ids,
-                    detailed.num_counters,
-                )
-            )
-        else:
-            preds, cids = entry.detailed(lane, trace, engine, hist_cache)
-            out.append((preds, cids, _lanes.detailed_num_counters(lane)))
-    return out
-
-
-def family_rates(
-    kind: str,
-    specs: Sequence[str],
-    lanes: Sequence[object],
-    trace: BranchTrace,
-    mode: Optional[str] = None,
-) -> List[float]:
-    """Misprediction rate of every lane of one ported family."""
-    n = len(trace)
-    if n == 0:
-        return [0.0 for _ in specs]
-    entry = PORTED[kind]
-    mode = kernel_mode() if mode is None else mode
-    if entry.rates is not None and mode != "scalar":
-        # Direct reduction (the statics): no prediction stream is
-        # materialized, with the same dispatch reporting as the
-        # prediction path.
-        from repro import health
-
-        engines, expected, _ = _resolve_engines(entry, lanes, mode)
-        for engine in dict.fromkeys(engines):
-            health.engine_used(
-                f"{kind}-kernel", engine, expected=expected, cells=engines.count(engine)
-            )
-        return [entry.rates(lane, trace) for lane in lanes]
-    outcomes = trace.outcomes
-    return [
-        int(np.count_nonzero(preds != outcomes)) / n
-        for preds in family_predictions(kind, specs, lanes, trace, mode=mode)
-    ]
 
 
 def planner_vetoes(specs: Sequence[str]) -> None:

@@ -1,37 +1,33 @@
 """Lane kernels for the registry-ported predictor schemes.
 
 The scheme-agnostic kernel registry (:mod:`repro.sim.kernels`) maps
-every registered predictor spec onto the fastest bit-identical
-execution strategy available.  This module supplies the per-scheme
-*kernels* for the first ported wave — everything beyond the original
-gshare/bi-mode fast paths of :mod:`repro.sim.batch` /
-:mod:`repro.sim.batch_bimode`:
+every registered predictor spec onto its batch kernel.  This module
+supplies the per-scheme kernels beyond the gshare/bi-mode family passes
+of :mod:`repro.sim.batch` / :mod:`repro.sim.batch_bimode`.  Each kernel
+takes ``(lane, trace, hist_cache)`` and returns per-access predictions
+or ``(predictions, counter_ids)``; the registry runs it only when the
+compiled driver (:mod:`repro.sim._cstep`) is available and otherwise
+runs the scheme's scalar predictor.
 
 * **counter-major schemes** — bimodal (any counter width), the whole
-  two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp), agree,
-  gskew with the *total* update policy, and the bimodal+gshare
-  tournament.  None of these feed predictions back into their own index
-  or training streams, so every per-access counter id and training
-  delta is precomputable from ``(pcs, outcomes)`` alone and the
-  remaining sequential work is exactly one saturating-counter automaton
-  per table.  That automaton runs through the shared compiled loop
-  (:func:`repro.sim._cstep.counter_lane`) or the counter-major
-  segmented scan (:func:`repro.sim.batch.counter_scan`) — the same
-  machinery, and the same bit-exactness argument, as the gshare kernel.
-* **sequential schemes** — gskew's *enhanced* (e-gskew) policy,
-  tri-mode, YAGS, and the perceptron.  Their partial updates feed
-  predictor state back into which table trains (or which bank an
-  access lands in, or — for the perceptron — whether the threshold
-  gate fires), which defeats counter-major decomposition exactly like
-  bi-mode's choice feedback; each gets a dedicated compiled per-pair
-  loop in :mod:`repro.sim._cstep` over precomputed index streams.
-* **second-wave lane schemes** — the bias filter (over a gshare or
-  bimodal sub-predictor) and the three static schemes
-  (always-taken / always-not-taken / btfnt).  The statics are pure
-  vectorized one-shots; the bias filter decomposes (see below) into
-  the per-slot grouping machinery plus one counter automaton over the
-  *unfiltered* subsequence, so it runs under both the compiled loop
-  and the numpy engine.
+  two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp), agree and the
+  bimodal+gshare tournament.  None of these feed predictions back into
+  their own index or training streams, so every per-access counter id
+  and training delta is precomputable from ``(pcs, outcomes)`` alone
+  and the remaining sequential work is one saturating-counter automaton
+  per table, run by the shared compiled loop
+  (:func:`repro.sim._cstep.counter_lane`).
+* **sequential schemes** — gskew, tri-mode, YAGS and the perceptron.
+  Their partial updates feed predictor state back into which table
+  trains (or which bank an access lands in, or — for the perceptron —
+  whether the threshold gate fires), so each gets a dedicated compiled
+  per-pair loop in :mod:`repro.sim._cstep`.
+* **bias filter** (over a gshare or bimodal sub-predictor) — the filter
+  decomposes (see below) into the per-slot grouping machinery plus one
+  counter automaton over the *unfiltered* subsequence.
+* **static schemes** (always-taken / always-not-taken / btfnt) — pure
+  vectorized one-shots with no automaton, so they need no compiler and
+  run the same on every host.
 
 Scheme-specific notes
 ---------------------
@@ -52,9 +48,9 @@ that is ``True`` by construction, matching ``AgreePredictor.update``
 which sets the bias before computing agreement.
 
 **Tournament.**  Both components are feedback-free (bimodal + gshare),
-so their prediction streams come from two counter scans; the meta table
-then trains with deltas in ``{-1, 0, +1}`` (0 when the components
-agree), which the generalized scan and the compiled loop both support.
+so their prediction streams come from two counter automata; the meta
+table then trains with deltas in ``{-1, 0, +1}`` (0 when the components
+agree), which the compiled counter loop supports.
 
 **Bias filter.**  The filter automaton (direction bit + saturating run
 counter per slot) evolves from ``(pcs, outcomes)`` alone — after every
@@ -66,7 +62,7 @@ access's filtered/unfiltered classification and, for filtered
 accesses, the prediction (the previous same-slot outcome) with no
 sequential work.  The sub-predictor sees exactly the *unfiltered*
 subsequence — its global history included, per the scalar design note
-— so its prediction stream is one ordinary counter-major scan over the
+— so its attribution is one ordinary counter automaton over the
 compressed ``(pcs, outcomes)`` arrays.  Supported sub-predictors:
 gshare and bimodal (the configurations the benches sweep); any other
 sub falls to the scalar family with an explicit planner veto.
@@ -79,7 +75,7 @@ dict-based oracle by the registry-driven verification suite
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,7 +84,9 @@ from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import concat_index_stream, gshare_index_stream, mask
 from repro.core.registry import parse_spec
-from repro.sim.batch import counter_scan
+from repro.sim import _cstep
+from repro.sim.batch import GShareLane
+from repro.sim.batch_bimode import BiModeLane
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -112,16 +110,11 @@ __all__ = [
     "perceptron_lane_for_spec",
     "biasfilter_lane_for_spec",
     "static_lane_for_spec",
-    "bimodal_predictions",
-    "twolevel_predictions",
-    "agree_predictions",
     "gskew_predictions",
-    "tournament_predictions",
     "trimode_predictions",
     "yags_predictions",
     "perceptron_predictions",
     "biasfilter_predictions",
-    "static_predictions",
     "static_rates",
     "per_address_histories",
     "bimodal_detailed",
@@ -538,26 +531,17 @@ def _observed_states(
     num_counters: int,
     init: int,
     max_state: int,
-    engine: str,
 ) -> np.ndarray:
-    """The state each access observes, via the compiled loop or the
-    counter-major scan — the shared automaton of every counter-major
-    scheme.  ``deltas`` are int-like in ``{-1, 0, +1}``."""
-    if engine == "c":
-        from repro.sim import _cstep
-
-        table = np.full(num_counters, init, dtype=np.int8)
-        return _cstep.counter_lane(
-            np.ascontiguousarray(keys, dtype=np.int64),
-            np.ascontiguousarray(deltas, dtype=np.int8),
-            table,
-            max_state,
-        )
-    if engine != "numpy":
-        raise ValueError(f"unsupported counter engine {engine!r}")
-    init_states = np.full(num_counters, init, dtype=np.int32)
-    pre, _ = counter_scan(keys, deltas, init_states, num_counters, max_state=max_state)
-    return pre
+    """The state each access observes, via the compiled counter loop —
+    the shared automaton of every counter-major scheme.  ``deltas`` are
+    int-like in ``{-1, 0, +1}``."""
+    table = np.full(num_counters, init, dtype=np.int8)
+    return _cstep.counter_lane(
+        np.ascontiguousarray(keys, dtype=np.int64),
+        np.ascontiguousarray(deltas, dtype=np.int8),
+        table,
+        max_state,
+    )
 
 
 def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
@@ -570,7 +554,6 @@ def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
 def bimodal_detailed(
     lane: BimodalLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed slot IS the id."""
@@ -581,24 +564,13 @@ def bimodal_detailed(
         1 << lane.index_bits,
         lane.threshold,  # power-on init is weakly taken at any width
         lane.max_state,
-        engine,
     )
     return pre >= lane.threshold, keys
-
-
-def bimodal_predictions(
-    lane: BimodalLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    return bimodal_detailed(lane, trace, engine, hist_cache)[0]
 
 
 def twolevel_detailed(
     lane: TwoLevelLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed PHT slot IS the id."""
@@ -617,24 +589,13 @@ def twolevel_detailed(
         1 << (lane.hist_bits + lane.select_bits),
         WEAKLY_TAKEN,
         3,
-        engine,
     )
     return pre >= 2, keys
-
-
-def twolevel_predictions(
-    lane: TwoLevelLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    return twolevel_detailed(lane, trace, engine, hist_cache)[0]
 
 
 def agree_detailed(
     lane: AgreeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed agree-PHT slot IS
@@ -660,134 +621,14 @@ def agree_detailed(
 
     agreed = bias_after_update == outcomes  # True at first occurrences
     pre = _observed_states(
-        keys, _train_deltas(agreed), 1 << lane.index_bits, WEAKLY_TAKEN, 3, engine
+        keys, _train_deltas(agreed), 1 << lane.index_bits, WEAKLY_TAKEN, 3
     )
     return (pre >= 2) == bias_at_predict, keys
-
-
-def agree_predictions(
-    lane: AgreeLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    return agree_detailed(lane, trace, engine, hist_cache)[0]
-
-
-def _rotate_stream(values: np.ndarray, amount: int, bits: int) -> np.ndarray:
-    """Vectorized ``gskew._rotate``: left-rotate within a bits-wide word."""
-    if bits == 0:
-        return np.zeros_like(values)
-    amount %= bits
-    m = mask(bits)
-    values = values & m
-    return ((values << amount) | (values >> (bits - amount))) & m
-
-
-def _gskew_index_streams(
-    lane: GSkewLane, trace: BranchTrace, hist_cache: Optional[Dict[int, np.ndarray]]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    bits = lane.bank_bits
-    pcs = trace.pcs.astype(np.int64, copy=False)
-    if bits == 0:
-        zero = np.zeros(len(trace), dtype=np.int64)
-        return zero, zero, zero
-    m = mask(bits)
-    pc_lo = pcs & m
-    pc_hi = (pcs >> bits) & m
-    hist = _hist(trace, lane.hist_bits, hist_cache) & m
-    i0 = pc_lo ^ hist
-    i1 = _rotate_stream(pc_lo, 1, bits) ^ _rotate_stream(hist, bits // 2, bits) ^ pc_hi
-    i2 = (
-        _rotate_stream(pc_lo, 2, bits)
-        ^ _rotate_stream(hist, (2 * bits) // 3, bits)
-        ^ _rotate_stream(pc_hi, 1, bits)
-    )
-    return i0, i1, i2
-
-
-def gskew_detailed(
-    lane: GSkewLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(predictions, counter_ids)``: the prediction is attributed to
-    the first (lowest-numbered) bank voting with the majority, bank ``k``
-    offset by ``k * bank_size``."""
-    if engine == "c":
-        from repro.sim import _cstep
-
-        banks = np.full((3, 1 << lane.bank_bits), WEAKLY_TAKEN, dtype=np.int8)
-        cids = np.empty(len(trace), dtype=np.int64)
-        preds = _cstep.gskew_lane(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            lane.bank_bits,
-            lane.hist_bits,
-            lane.enhanced,
-            banks,
-            cids,
-        )
-        return preds.view(bool), cids
-    if engine != "numpy" or lane.enhanced:
-        # e-gskew's partial update feeds bank state back into which
-        # banks train; no counter-major form exists.
-        raise ValueError(f"unsupported gskew engine {engine!r} for {lane}")
-    deltas = _train_deltas(trace.outcomes)
-    size = 1 << lane.bank_bits
-    streams = _gskew_index_streams(lane, trace, hist_cache)
-    votes = [
-        _observed_states(keys, deltas, size, WEAKLY_TAKEN, 3, "numpy") >= 2
-        for keys in streams
-    ]
-    majority = (
-        votes[0].astype(np.int8) + votes[1].astype(np.int8) + votes[2].astype(np.int8)
-    ) >= 2
-    cids = np.where(
-        votes[0] == majority,
-        streams[0],
-        np.where(votes[1] == majority, size + streams[1], 2 * size + streams[2]),
-    )
-    return majority, cids
-
-
-def gskew_predictions(
-    lane: GSkewLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    if engine == "c":
-        from repro.sim import _cstep
-
-        banks = np.full((3, 1 << lane.bank_bits), WEAKLY_TAKEN, dtype=np.int8)
-        preds = _cstep.gskew_lane(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            lane.bank_bits,
-            lane.hist_bits,
-            lane.enhanced,
-            banks,
-        )
-        return preds.view(bool)
-    if engine != "numpy" or lane.enhanced:
-        # e-gskew's partial update feeds bank state back into which
-        # banks train; no counter-major form exists.
-        raise ValueError(f"unsupported gskew engine {engine!r} for {lane}")
-    deltas = _train_deltas(trace.outcomes)
-    size = 1 << lane.bank_bits
-    votes = np.zeros(len(trace), dtype=np.int8)
-    for keys in _gskew_index_streams(lane, trace, hist_cache):
-        pre = _observed_states(keys, deltas, size, WEAKLY_TAKEN, 3, "numpy")
-        votes += (pre >= 2).astype(np.int8)
-    return votes >= 2
 
 
 def tournament_detailed(
     lane: TournamentLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the *selected* component's
@@ -800,8 +641,8 @@ def tournament_detailed(
         trace.pcs, histories, lane.index_bits, lane.index_bits
     ).astype(np.int64)
     size = 1 << lane.index_bits
-    pred_a = _observed_states(a_keys, deltas, size, WEAKLY_TAKEN, 3, engine) >= 2
-    pred_b = _observed_states(b_keys, deltas, size, WEAKLY_TAKEN, 3, engine) >= 2
+    pred_a = _observed_states(a_keys, deltas, size, WEAKLY_TAKEN, 3) >= 2
+    pred_b = _observed_states(b_keys, deltas, size, WEAKLY_TAKEN, 3) >= 2
 
     # Meta trains toward "trust b" only on component disagreement.
     meta_keys = (trace.pcs & mask(lane.meta_bits)).astype(np.int64)
@@ -809,7 +650,7 @@ def tournament_detailed(
         pred_a == pred_b, 0, np.where(pred_b == outcomes, 1, -1)
     ).astype(np.int8)
     pre_meta = _observed_states(
-        meta_keys, meta_deltas, 1 << lane.meta_bits, WEAKLY_TAKEN, 3, engine
+        meta_keys, meta_deltas, 1 << lane.meta_bits, WEAKLY_TAKEN, 3
     )
     select_b = pre_meta >= 2
     return (
@@ -818,29 +659,51 @@ def tournament_detailed(
     )
 
 
-def tournament_predictions(
-    lane: TournamentLane,
+# -- sequential (compiled-loop) kernels -------------------------------------------
+
+
+def _gskew_run(
+    lane: GSkewLane, trace: BranchTrace, cids: Optional[np.ndarray]
+) -> np.ndarray:
+    banks = np.full((3, 1 << lane.bank_bits), WEAKLY_TAKEN, dtype=np.int8)
+    preds = _cstep.gskew_lane(
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        lane.bank_bits,
+        lane.hist_bits,
+        lane.enhanced,
+        banks,
+        cids,
+    )
+    return preds.view(bool)
+
+
+def gskew_detailed(
+    lane: GSkewLane,
     trace: BranchTrace,
-    engine: str,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(predictions, counter_ids)``: the prediction is attributed to
+    the first (lowest-numbered) bank voting with the majority, bank ``k``
+    offset by ``k * bank_size``."""
+    cids = np.empty(len(trace), dtype=np.int64)
+    return _gskew_run(lane, trace, cids), cids
+
+
+def gskew_predictions(
+    lane: GSkewLane,
+    trace: BranchTrace,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    return tournament_detailed(lane, trace, engine, hist_cache)[0]
-
-
-# -- sequential (compiled-loop) kernels -------------------------------------------
+    return _gskew_run(lane, trace, None)
 
 
 def _trimode_run(
     lane: TriModeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]],
     cids: Optional[np.ndarray],
 ) -> np.ndarray:
-    if engine != "c":
-        raise ValueError(f"unsupported tri-mode engine {engine!r}")
-    from repro.sim import _cstep
-
     histories = _hist(trace, lane.hist_bits, hist_cache)
     di = gshare_index_stream(
         trace.pcs, histories, lane.dir_bits, lane.hist_bits
@@ -867,35 +730,28 @@ def _trimode_run(
 def trimode_detailed(
     lane: TriModeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the selected direction counter,
     bank ``b`` (not-taken, taken, weak) offset by ``b * bank_size``."""
     cids = np.empty(len(trace), dtype=np.int64)
-    return _trimode_run(lane, trace, engine, hist_cache, cids), cids
+    return _trimode_run(lane, trace, hist_cache, cids), cids
 
 
 def trimode_predictions(
     lane: TriModeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    return _trimode_run(lane, trace, engine, hist_cache, None)
+    return _trimode_run(lane, trace, hist_cache, None)
 
 
 def _yags_run(
     lane: YagsLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]],
     cids: Optional[np.ndarray],
 ) -> np.ndarray:
-    if engine != "c":
-        raise ValueError(f"unsupported YAGS engine {engine!r}")
-    from repro.sim import _cstep
-
     histories = _hist(trace, lane.hist_bits, hist_cache)
     ki = gshare_index_stream(
         trace.pcs, histories, lane.cache_bits, lane.hist_bits
@@ -926,38 +782,28 @@ def _yags_run(
 def yags_detailed(
     lane: YagsLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: choice table, then taken cache,
     then not-taken cache; a hit charges the hitting cache entry, a miss
     the choice counter that supplied the bias."""
     cids = np.empty(len(trace), dtype=np.int64)
-    return _yags_run(lane, trace, engine, hist_cache, cids), cids
+    return _yags_run(lane, trace, hist_cache, cids), cids
 
 
 def yags_predictions(
     lane: YagsLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    return _yags_run(lane, trace, engine, hist_cache, None)
+    return _yags_run(lane, trace, hist_cache, None)
 
 
 def perceptron_predictions(
     lane: PerceptronLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    if engine != "c":
-        # The threshold gate reads the dot product of the weights the
-        # *predictor* accumulated: training feeds back into training, so
-        # no counter-major form exists.
-        raise ValueError(f"unsupported perceptron engine {engine!r}")
-    from repro.sim import _cstep
-
     weights = np.zeros((1 << lane.index_bits) * (lane.hist_bits + 1), dtype=np.int32)
     preds = _cstep.perceptron_lane(
         np.ascontiguousarray(trace.pcs, dtype=np.int64),
@@ -975,13 +821,12 @@ def perceptron_predictions(
 def perceptron_detailed(
     lane: PerceptronLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed weight row is
     selected by address alone, so the ids are a pure vectorized hash;
     the predictions still need the sequential loop."""
-    preds = perceptron_predictions(lane, trace, engine, hist_cache)
+    preds = perceptron_predictions(lane, trace, hist_cache)
     return preds, (trace.pcs & mask(lane.index_bits)).astype(np.int64)
 
 
@@ -1032,70 +877,36 @@ def _biasfilter_classify(
 def biasfilter_predictions(
     lane: BiasFilterLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    if engine == "c":
-        from repro.sim import _cstep
-
-        size = 1 << lane.filter_bits
-        dirs = np.zeros(size, dtype=np.uint8)
-        runs = np.zeros(size, dtype=np.int8)
-        sub_table = np.full(1 << lane.sub_index_bits, WEAKLY_TAKEN, dtype=np.int8)
-        preds = _cstep.biasfilter_lane(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            lane.filter_bits,
-            lane.max_run,
-            lane.sub_index_bits,
-            lane.sub_hist_bits,
-            dirs,
-            runs,
-            sub_table,
-        )
-        return preds.view(bool)
-    if engine != "numpy":
-        raise ValueError(f"unsupported bias-filter engine {engine!r}")
-    n = len(trace)
-    preds = np.empty(n, dtype=bool)
-    if n == 0:
-        return preds
-    pcs = trace.pcs
-    outcomes = trace.outcomes
-    filtered, filtered_pred = _biasfilter_classify(lane, pcs, outcomes)
-    preds[filtered] = filtered_pred[filtered]
-
-    # The sub-predictor sees exactly the unfiltered subsequence — its
-    # history register included, so the compressed arrays feed the
-    # ordinary gshare/bimodal counter-major pipeline.  The full-trace
-    # hist_cache does not apply to the compressed stream.
-    unfiltered = np.flatnonzero(~filtered)
-    sub_pcs = pcs[unfiltered]
-    sub_out = outcomes[unfiltered]
-    histories = global_history_stream(sub_out, lane.sub_hist_bits)
-    keys = gshare_index_stream(
-        sub_pcs, histories, lane.sub_index_bits, lane.sub_hist_bits
-    ).astype(np.int64)
-    pre = _observed_states(
-        keys, _train_deltas(sub_out), 1 << lane.sub_index_bits, WEAKLY_TAKEN, 3, engine
+    size = 1 << lane.filter_bits
+    dirs = np.zeros(size, dtype=np.uint8)
+    runs = np.zeros(size, dtype=np.int8)
+    sub_table = np.full(1 << lane.sub_index_bits, WEAKLY_TAKEN, dtype=np.int8)
+    preds = _cstep.biasfilter_lane(
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        lane.filter_bits,
+        lane.max_run,
+        lane.sub_index_bits,
+        lane.sub_hist_bits,
+        dirs,
+        runs,
+        sub_table,
     )
-    preds[unfiltered] = pre >= 2
-    return preds
+    return preds.view(bool)
 
 
 def biasfilter_detailed(
     lane: BiasFilterLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: filter slots first, then the
     sub-predictor's counters offset by the filter size.  The
     filtered/unfiltered classification and both id streams are
     feedback-free (the filter automaton evolves from ``(pcs, outcomes)``
-    alone), so only the sub-predictor's counter automaton touches the
-    engine — the detailed tier runs under both the compiled loop and
-    the numpy scan.
+    alone), so only the sub-predictor's counter automaton is sequential.
     """
     n = len(trace)
     preds = np.empty(n, dtype=bool)
@@ -1110,7 +921,8 @@ def biasfilter_detailed(
 
     # unfiltered subsequence: ordinary gshare/bimodal counter automaton
     # over the compressed arrays (the sub's history skips filtered
-    # branches), ids offset past the filter slots
+    # branches, so the full-trace hist_cache does not apply), ids offset
+    # past the filter slots
     unfiltered = np.flatnonzero(~filtered)
     sub_pcs = pcs[unfiltered]
     sub_out = outcomes[unfiltered]
@@ -1119,46 +931,55 @@ def biasfilter_detailed(
         sub_pcs, histories, lane.sub_index_bits, lane.sub_hist_bits
     ).astype(np.int64)
     pre = _observed_states(
-        keys, _train_deltas(sub_out), 1 << lane.sub_index_bits, WEAKLY_TAKEN, 3, engine
+        keys, _train_deltas(sub_out), 1 << lane.sub_index_bits, WEAKLY_TAKEN, 3
     )
     preds[unfiltered] = pre >= 2
     cids[unfiltered] = (1 << lane.filter_bits) + keys
     return preds, cids
 
 
-def static_predictions(
-    lane: StaticLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    """The static schemes keep no state, so the same vectorized
-    one-shot serves every engine (the ``c``/``numpy`` distinction is
-    meaningless without an automaton)."""
-    if lane.scheme == "btfnt":
-        return (trace.pcs & 1).astype(bool)
-    return np.full(len(trace), lane.scheme == "always-taken", dtype=bool)
-
-
 def static_detailed(
     lane: StaticLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: btfnt attributes to its two
     virtual rules (0 = forward, 1 = backward); the fixed schemes have a
-    single virtual counter."""
-    preds = static_predictions(lane, trace, engine, hist_cache)
+    single virtual counter.  The statics keep no state, so this
+    vectorized one-shot is their only batch form and needs no compiler."""
     if lane.scheme == "btfnt":
+        preds = (trace.pcs & 1).astype(bool)
         return preds, preds.astype(np.int64)
+    preds = np.full(len(trace), lane.scheme == "always-taken", dtype=bool)
     return preds, np.zeros(len(trace), dtype=np.int64)
+
+
+def static_rates(lanes: Sequence[StaticLane], trace: BranchTrace) -> List[float]:
+    """Misprediction rates without materializing predictions: one numpy
+    reduction per lane, bit-identical to ``count_nonzero(preds !=
+    outcomes) / n`` (the counts are exact integers, so the division
+    matches)."""
+    n = len(trace)
+    if n == 0:
+        return [0.0] * len(lanes)
+
+    def misses(scheme: str) -> int:
+        if scheme == "btfnt":
+            return int(np.count_nonzero((trace.pcs & 1).astype(bool) != trace.outcomes))
+        taken = int(np.count_nonzero(trace.outcomes))
+        return n - taken if scheme == "always-taken" else taken
+
+    return [misses(lane.scheme) / n for lane in lanes]
 
 
 def detailed_num_counters(lane) -> int:
     """Section-4 counter count of a lane — the ``num_counters`` of the
     :class:`~repro.core.interfaces.DetailedSimulation` the scalar
     predictor would build for the same configuration."""
+    if isinstance(lane, GShareLane):
+        return lane.table_size
+    if isinstance(lane, BiModeLane):
+        return 2 * lane.bank_size
     if isinstance(lane, BimodalLane):
         return 1 << lane.index_bits
     if isinstance(lane, TwoLevelLane):
@@ -1180,16 +1001,3 @@ def detailed_num_counters(lane) -> int:
     if isinstance(lane, StaticLane):
         return 2 if lane.scheme == "btfnt" else 1
     raise TypeError(f"unknown lane type {type(lane).__name__}")
-
-
-def static_rates(lane: StaticLane, trace: BranchTrace) -> float:
-    """Misprediction rate without materializing predictions: one numpy
-    reduction, bit-identical to ``count_nonzero(preds != outcomes) / n``
-    (the counts are exact integers, so the division matches)."""
-    n = len(trace)
-    taken = int(np.count_nonzero(trace.outcomes))
-    if lane.scheme == "always-taken":
-        return (n - taken) / n
-    if lane.scheme == "always-not-taken":
-        return taken / n
-    return int(np.count_nonzero((trace.pcs & 1).astype(bool) != trace.outcomes)) / n

@@ -655,10 +655,11 @@ def evaluate_matrix_parallel(
     pool as first-class supervised tasks ahead of the evaluate tasks,
     and workers map the published trace instead of regenerating it.
     """
+    from repro.core.registry import check_specs
     from repro.sim.fused import plan_families
     from repro.sim.runner import evaluate_specs, trace_key
 
-    specs = list(specs)
+    specs = check_specs(specs)
     jobs = effective_jobs(jobs)
     if policy is None:
         policy = TaskPolicy.from_env()
@@ -849,9 +850,12 @@ def detailed_matrix(
 
     ``traces`` values may be :class:`TraceRecipe`; cold traces then
     materialize across the pool first, exactly as in
-    :func:`evaluate_matrix_parallel`.
+    :func:`evaluate_matrix_parallel`.  Every spec is validated before
+    any cell runs (:func:`repro.core.registry.check_specs`): an invalid
+    one raises rather than being quarantined.
     """
     from repro.analysis.bias import BIAS_THRESHOLD
+    from repro.core.registry import check_specs
     from repro.sim.runner import trace_key
 
     if threshold is None:
@@ -860,7 +864,7 @@ def detailed_matrix(
         "threshold": float(threshold),
         "include_bias_table": bool(include_bias_table),
     }
-    specs = list(specs)
+    specs = check_specs(specs)
     jobs = effective_jobs(jobs)
     if policy is None:
         policy = TaskPolicy.from_env()

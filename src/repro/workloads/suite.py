@@ -111,6 +111,11 @@ def load_suite(
     in the store are simply mapped.  Serial and parallel loads produce
     identical traces.
     """
+    if isinstance(names, str):
+        raise TypeError(
+            f"names must be an iterable of benchmark names, not the str {names!r}; "
+            "use suite_names(...) for a whole suite"
+        )
     names = list(names)
     if use_cache:
         from repro.sim.parallel import effective_jobs, materialize_parallel

@@ -109,10 +109,9 @@ PORTED_GRID = [
 ]
 
 #: Per-scheme fuzz budget tiers for the differential suites.
-#: ``diff_spec`` replays a spec through every engine it qualifies for,
-#: and the kernel registry multiplied that space: each ported scheme
-#: adds its lane engines (compiled and/or numpy) on top of
-#: oracle/step/batch.  Schemes with real automata get a smaller
+#: ``diff_spec`` replays a spec through the oracle, the scalar step and
+#: batch loops, and the scheme's compiled kernel.  Schemes with real
+#: automata get a smaller
 #: example budget so the CI profile's wall-clock stays level; the
 #: stateless static schemes keep the wide budget.  Deadlines stay
 #: ``None`` everywhere — the first heavy example may compile the C
@@ -120,7 +119,7 @@ PORTED_GRID = [
 #: ``max_examples`` *is* the budget knob.
 FUZZ_BUDGET = {
     "light": {"max_examples": 15},  # stateless statics: trivial replay
-    "heavy": {"max_examples": 8},  # stateful schemes: up to 6 engines
+    "heavy": {"max_examples": 8},  # stateful schemes: 4 engines
 }
 
 #: Two small paper size points -> the full Figure-2/3/4 grid shape.

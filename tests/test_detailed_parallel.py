@@ -22,8 +22,8 @@ from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
 
 #: The grid spans every family shape the planner produces: the fused
-#: gshare/bi-mode attribution kernels, a lane-tier ported scheme, and
-#: a cloop-tier (sequential C) ported scheme — so each drill below
+#: gshare/bi-mode attribution kernels, a counter-major ported scheme,
+#: and a sequential-loop ported scheme — so each drill below
 #: covers fused-detailed family tasks, not just the legacy pair.
 SPECS = [
     "gshare:index=7,hist=7",

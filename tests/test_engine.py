@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_predictor
+from repro.sim import _cstep
 from repro.sim.engine import run, run_detailed, run_steps
 from tests.conftest import ALL_SPECS, make_toy_trace
 
@@ -112,6 +113,11 @@ class TestDetailedKernelDispatch:
         monkeypatch.setenv("REPRO_DETAILED_KERNEL", "scalar")
         scalar = run_detailed(make_predictor(spec), trace)
         monkeypatch.setenv("REPRO_DETAILED_KERNEL", "batch")
+        if not _cstep.available():
+            # the batch kernels are compiled; the pin refuses, by name
+            with pytest.raises(RuntimeError, match="batch attribution kernel"):
+                run_detailed(make_predictor(spec), trace)
+            return
         batch = run_detailed(make_predictor(spec), trace)
         assert np.array_equal(scalar.result.predictions, batch.result.predictions)
         assert np.array_equal(scalar.counter_ids, batch.counter_ids)

@@ -203,24 +203,6 @@ class TestCorruptCacheMidSweep:
         assert health.events(component="result-cache", severity="degraded")
 
 
-class TestCompilerDenied:
-    def test_bimode_kernel_reports_fallback(self, traces):
-        from repro.sim.batch_bimode import bimode_lane_for_spec, bimode_lane_rates
-
-        lane = bimode_lane_for_spec("bimode:dir=6,hist=6,choice=6")
-        baseline = bimode_lane_rates([lane], traces["gcc"])
-        health.clear()
-        with faults.deny_compiler():
-            denied = bimode_lane_rates([lane], traces["gcc"])
-            (event,) = health.events(component="bimode-kernel")
-            assert event.expected == "c"
-            assert event.actual in ("numpy", "python")
-            assert event.severity == "degraded"
-            assert "REPRO_NO_CC" in event.reason
-        # dispatch chain degradation never changes the numbers
-        assert denied == baseline
-
-
 class TestInterruptAndResume:
     """ISSUE acceptance: SIGINT mid-Figure-3-sweep, then resume — the
     table is bit-identical and only incomplete cells are re-simulated."""

@@ -1,8 +1,8 @@
 """Fused sweep planner and family evaluation (:mod:`repro.sim.fused`).
 
-Covers the PR's equivalence contract end to end: the planner's family
-grouping and dedupe, ``REPRO_FUSED`` dispatch (including the compiler-
-denied fallbacks, all health-reported), bit-identity of the fused
+Covers the planner's equivalence contract end to end: the family
+grouping and dedupe, ``REPRO_KERNEL`` dispatch (including the compiler-
+denied scalar fallbacks, all health-reported), bit-identity of the fused
 passes against the per-cell scalar engine *and* the differential
 oracle over Figure-2/3/4 spec grids, hypothesis fuzzing of random
 grids, the parallel planner's (spec, trace) dedupe with fan-out, and
@@ -16,14 +16,9 @@ from hypothesis import strategies as st
 
 from repro import faults, health
 from repro.core.registry import make_predictor
+from repro.sim import _cstep, kernels
 from repro.sim.engine import run
-from repro.sim.fused import (
-    SpecFamily,
-    family_rates,
-    fused_active,
-    fused_mode,
-    plan_families,
-)
+from repro.sim.fused import SpecFamily, family_rates, plan_families
 from repro.sim.journal import SweepJournal
 from repro.sim.runner import evaluate_specs, trace_key
 from repro.traces.record import BranchTrace
@@ -105,28 +100,44 @@ class TestPlanner:
 
 class TestDispatch:
     def test_mode_default_and_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED", raising=False)
-        assert fused_mode() == "auto"
-        monkeypatch.setenv("REPRO_FUSED", "ON")
-        assert fused_mode() == "on"
-        monkeypatch.setenv("REPRO_FUSED", "off")
-        assert fused_mode() == "off"
-        monkeypatch.setenv("REPRO_FUSED", "sideways")
-        with pytest.raises(ValueError):
-            fused_mode()
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        assert kernels.kernel_mode() == "auto"
+        monkeypatch.setenv("REPRO_KERNEL", "C")
+        assert kernels.kernel_mode() == "c"
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert kernels.kernel_mode() == "scalar"
+        for value in ("numpy", "sideways"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            with pytest.raises(ValueError, match="auto/c/scalar"):
+                kernels.kernel_mode()
 
-    def test_pinned_modes(self):
-        assert fused_active("off") is False
-        assert fused_active("on") is True
+    def test_pinned_modes(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert kernels.family_engine("gshare") == ("scalar", "REPRO_KERNEL=scalar pin")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        if _cstep.available():
+            assert kernels.family_engine("bimode") == ("c", "")
+        with faults.deny_compiler():
+            with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
+                kernels.family_engine("bimode")
+            # the statics' one-shot needs no compiler under any pin
+            assert kernels.family_engine("btfnt") == ("vectorized", "")
 
-    def test_auto_without_compiler_degrades_with_event(self):
+    def test_auto_without_compiler_degrades_with_event(self, small_workload):
+        """Each batched family that falls back reports exactly one event
+        naming its scheme, the scalar engine and the reason."""
+        specs = ["gshare:index=6,hist=3", "gshare:index=6,hist=6", "bimode:dir=5"]
         with faults.deny_compiler():
             health.clear()
-            assert fused_active("auto") is False
-            (event,) = health.events(component="fused-planner")
-            assert event.expected == "fused"
-            assert event.actual == "batched"
-            assert event.severity == "degraded"
+            for family in plan_families(specs):
+                family_rates(family, small_workload)
+            for kind, cells in (("gshare", 2), ("bimode", 1)):
+                (event,) = health.events(component=f"{kind}-kernel")
+                assert event.expected == "c"
+                assert event.actual == "scalar"
+                assert event.severity == "degraded"
+                assert event.ctx["cells"] == cells
+                assert "REPRO_NO_CC" in event.reason
 
     def test_scalar_family_reports_degradation(self, small_workload):
         health.clear()
@@ -204,9 +215,8 @@ class TestFamilyDetailed:
     def test_batch_pin_refuses_sequential_scheme_without_compiler(
         self, trace, monkeypatch
     ):
-        """A cloop-tier family (no numpy kernel) under the batch pin
-        must refuse when the compiler is denied rather than quietly run
-        the scalar loop."""
+        """A compiled-kernel family under the batch pin must refuse when
+        the compiler is denied rather than quietly run the scalar loop."""
         from repro.sim.fused import family_detailed
 
         (family,) = plan_families(["perceptron:index=5,hist=6"])
@@ -253,26 +263,27 @@ class TestFigureGridEquivalence:
         for spec in grid:
             assert reference[spec] == oracle_rate(spec, small_workload), spec
 
-    @pytest.mark.parametrize("mode", ["on", "off", "auto"])
+    @pytest.mark.parametrize("mode", ["c", "scalar", "auto"])
     def test_modes_are_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        monkeypatch.setenv("REPRO_FUSED", mode)
+        if mode == "c" and not _cstep.available():
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("REPRO_KERNEL", mode)
         assert evaluate_specs(grid, small_workload) == reference
 
-    @pytest.mark.parametrize("mode", ["on", "auto"])
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
     def test_compiler_denied_is_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        monkeypatch.setenv("REPRO_FUSED", mode)
+        monkeypatch.setenv("REPRO_KERNEL", mode)
         with faults.deny_compiler():
             assert evaluate_specs(grid, small_workload) == reference
 
     def test_family_rates_directly(self, grid, reference, small_workload):
         for family in plan_families(grid):
-            for fused in (True, False):
-                rates = family_rates(family, small_workload, fused=fused)
-                assert rates == {spec: reference[spec] for spec in family.specs}
+            rates = family_rates(family, small_workload)
+            assert rates == {spec: reference[spec] for spec in family.specs}
 
 
 def _traces(min_size=1, max_size=120):
@@ -337,7 +348,7 @@ class TestPlannerFuzzing:
 
         fused = {}
         for family in families:
-            fused.update(family_rates(family, trace, fused=True))
+            fused.update(family_rates(family, trace))
         for spec in set(grid):
             scalar = run(make_predictor(spec), trace).misprediction_rate
             assert fused[spec] == scalar, spec
@@ -345,11 +356,11 @@ class TestPlannerFuzzing:
 
     @given(grid=_grids(), trace=_traces(min_size=0, max_size=30))
     @settings(max_examples=15, deadline=None)
-    def test_fused_numpy_fallbacks_agree_on_tiny_traces(self, grid, trace):
+    def test_compiler_denied_fallbacks_agree_on_tiny_traces(self, grid, trace):
         with faults.deny_compiler():
             fused = {}
             for family in plan_families(grid):
-                fused.update(family_rates(family, trace, fused=True))
+                fused.update(family_rates(family, trace))
         for spec in set(grid):
             assert fused[spec] == run(
                 make_predictor(spec), trace

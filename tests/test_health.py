@@ -177,23 +177,23 @@ class TestListeners:
 class TestProductionHooks:
     """The kernels actually report what ran."""
 
-    def test_bimode_dispatch_reports_engine(self):
-        from repro.sim.batch_bimode import bimode_lane_for_spec, bimode_lane_rates
+    @staticmethod
+    def _family_event(spec, component):
+        from repro.sim import kernels
         from tests.conftest import make_toy_trace
 
-        lane = bimode_lane_for_spec("bimode:dir=4,hist=4,choice=4")
-        bimode_lane_rates([lane], make_toy_trace(length=200))
-        events = health.events(component="bimode-kernel")
-        assert len(events) == 1
-        assert events[0].actual in ("c", "numpy", "python")
+        kind, lane = kernels.kernel_for_spec(spec)
+        kernels.family_rates(kind, [spec], [lane], make_toy_trace(length=200))
+        (event,) = health.events(component=component)
+        return event
+
+    def test_bimode_dispatch_reports_engine(self):
+        event = self._family_event("bimode:dir=4,hist=4,choice=4", "bimode-kernel")
+        assert event.actual in ("c", "scalar")
 
     def test_gshare_batch_reports_engine(self):
-        from repro.sim.batch import gshare_lane_rates, lane_for_spec
-        from tests.conftest import make_toy_trace
+        from repro.sim import _cstep
 
-        lane = lane_for_spec("gshare:index=4,hist=4")
-        gshare_lane_rates([lane], make_toy_trace(length=200))
-        events = health.events(component="gshare-kernel")
-        assert len(events) == 1
-        assert events[0].actual == "numpy"
-        assert events[0].severity == "info"
+        event = self._family_event("gshare:index=4,hist=4", "gshare-kernel")
+        expected = ("c", "info") if _cstep.available() else ("scalar", "degraded")
+        assert (event.actual, event.severity) == expected

@@ -14,14 +14,14 @@ Layers:
 * **resolution** — ``kernel_for_spec`` routing, including rejection of
   malformed knobs back to the scalar family;
 * **equivalence** — every ported spec, on two trace shapes, under both
-  the ``auto`` and ``numpy`` pins, against the scalar engine, the
+  the ``auto`` and ``scalar`` settings, against the scalar engine, the
   step interface and the dict-based oracle;
-* **dispatch** — the ``REPRO_KERNEL`` pin semantics (scalar planner
-  routing, forced-c failure, numpy degradations, inheritance by
-  ``REPRO_BIMODE_KERNEL``), all health-reported;
+* **dispatch** — the ``REPRO_KERNEL`` semantics (scalar planner
+  routing, forced-c failure, the compiler-denied scalar fallback), all
+  health-reported;
 * **fuzz** — hypothesis differential replay of random traces through
-  :func:`repro.verify.differential.diff_spec`, which runs every
-  engine the spec qualifies for;
+  :func:`repro.verify.differential.diff_spec`, which runs the oracle,
+  the scalar predictor and the spec's batch kernel;
 * **kill drill** — a mid-sweep hard worker kill on a ported family,
   asserting the supervised sweep still lands on the serial answer.
 """
@@ -54,6 +54,9 @@ from tests.conftest import (
     make_toy_trace,
     scalar_predictions,
 )
+
+#: The schemes beyond the fused gshare/bi-mode families.
+PORTED = {s: e for s, e in kernels.KERNELS.items() if e.tier != "fused"}
 
 #: scheme -> kernel kind for every PORTED_GRID spec, resolved once.
 GRID_KINDS = {spec: kernels.kernel_for_spec(spec)[0] for spec in PORTED_GRID}
@@ -92,7 +95,7 @@ class TestRegistryCompleteness:
         for scheme in available_schemes():
             assert scheme in tiers, (
                 f"scheme {scheme!r} is registered in core/registry.py but "
-                "declares no kernel tier in sim/kernels.py — port it (PORTED); "
+                "declares no kernel in sim/kernels.py — add it to KERNELS; "
                 "the SCALAR_ONLY escape hatch is retired and must stay empty"
             )
 
@@ -133,13 +136,13 @@ class TestRegistryCompleteness:
         tiers = kernels.registered_schemes()
         scalar = {s for s, tier in tiers.items() if tier == "scalar"}
         assert scalar == set(kernels.SCALAR_ONLY)
-        assert not (set(kernels.PORTED) & kernels.SCALAR_ONLY)
+        assert not (set(PORTED) & kernels.SCALAR_ONLY)
 
     def test_scalar_only_tier_is_retired(self):
         """ISSUE 9 acceptance: every registered scheme has a batch
         kernel; nothing is allowed to hide behind the scalar tier."""
         assert kernels.SCALAR_ONLY == frozenset()
-        assert set(kernels.PORTED) | {"gshare", "bimode"} == set(
+        assert set(PORTED) | {"gshare", "bimode"} == set(
             available_schemes()
         )
         for scheme, tier in kernels.registered_schemes().items():
@@ -147,33 +150,25 @@ class TestRegistryCompleteness:
 
     def test_tiers_are_known_values(self):
         for scheme, tier in kernels.registered_schemes().items():
-            assert tier in ("fused", "lane", "cloop", "scalar"), (scheme, tier)
+            assert tier in ("fused", "lane", "scalar"), (scheme, tier)
 
     def test_at_least_seven_newly_ported_schemes(self):
         """ISSUE acceptance: >= 7 schemes beyond gshare/bimode run
         through lane-batched kernels."""
-        ported = [s for s, t in kernels.registered_schemes().items() if t in ("lane", "cloop")]
+        ported = [s for s, t in kernels.registered_schemes().items() if t == "lane"]
         assert len(ported) >= 7, ported
 
     def test_every_registered_scheme_has_a_detailed_tier(self):
         """ISSUE 10 acceptance: every scheme's Section-4 pipeline runs
         batched — no registered scheme may hide behind the scalar
         ``simulate_detailed`` loop."""
-        tiers = kernels.registered_detailed_tiers()
         for scheme in available_schemes():
-            assert scheme in tiers, (
-                f"scheme {scheme!r} reports no detailed tier — register it "
-                "in sim/kernels.py"
-            )
-            assert tiers[scheme] != "scalar", (
+            entry = kernels.KERNELS.get(scheme)
+            assert entry is not None and entry.detailed is not None, (
                 f"scheme {scheme!r} has no batch attribution kernel — wire "
-                "a `detailed` callable into its PORTED entry in "
+                "a `detailed` callable into its KERNELS entry in "
                 "sim/kernels.py (lane kernel in sim/lanes.py, compiled "
                 "loop in sim/_cstep.py)"
-            )
-        for scheme, entry in kernels.PORTED.items():
-            assert entry.detailed is not None, (
-                f"PORTED entry for {scheme!r} declares no detailed kernel"
             )
 
     def test_every_registered_scheme_has_detailed_oracle_coverage(self):
@@ -197,11 +192,10 @@ class TestRegistryCompleteness:
         from tests.test_golden import DETAILED_SPECS
 
         frozen_kernels = {
-            kernels.PORTED[scheme].detailed
+            PORTED[scheme].detailed
             for scheme in {spec.split(":", 1)[0] for spec in DETAILED_SPECS}
-            if scheme in kernels.PORTED
         }
-        for scheme, entry in kernels.PORTED.items():
+        for scheme, entry in PORTED.items():
             assert entry.detailed in frozen_kernels, (
                 f"the detailed kernel behind {scheme!r} has no frozen "
                 "Section-4 summary — add a spec to tests/test_golden.py "
@@ -212,14 +206,14 @@ class TestRegistryCompleteness:
         order = kernels.family_order()
         assert order[0] == "gshare"
         assert order[-1] == "scalar"
-        assert set(order) == {"gshare", "bimode", "scalar", *kernels.PORTED}
+        assert set(order) == {"gshare", "bimode", "scalar", *PORTED}
 
     def test_ported_grid_covers_every_ported_scheme_twice(self):
-        for scheme, entry in kernels.PORTED.items():
+        for scheme, entry in PORTED.items():
             sizes = [s for s in PORTED_GRID if s.split(":", 1)[0] == scheme]
-            # the knob-less statics (direct-rate schemes) admit exactly
-            # one spec spelling; everything else needs >= 2 geometries
-            want = 1 if entry.rates is not None else 2
+            # the knob-less statics admit exactly one spec spelling;
+            # everything else needs >= 2 geometries
+            want = 2 if entry.compiled else 1
             assert len(sizes) >= want, (
                 f"PORTED_GRID needs >= {want} size(s) of {scheme!r}"
             )
@@ -277,20 +271,20 @@ class TestKernelForSpec:
 
 
 class TestEquivalence:
-    """Every ported spec x {auto, numpy} x two trace shapes, against
+    """Every ported spec x {auto, scalar} x two trace shapes, against
     the scalar engine and the dict-based oracle — the PR's bit-exactness
     acceptance criterion."""
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
-    @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    def test_grid_rates_match_scalar_and_oracle(self, mode, trace_kind):
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    def test_grid_rates_match_scalar_and_oracle(self, mode, trace_kind, monkeypatch):
         trace = _trace(trace_kind)
         drifted = []
-        for family in plan_families(PORTED_GRID):
+        families = plan_families(PORTED_GRID)  # planned before the pin
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+        for family in families:
             assert family.kind != "scalar", family.specs
-            rates = kernels.family_rates(
-                family.kind, family.specs, family.lanes, trace, mode=mode
-            )
+            rates = kernels.family_rates(family.kind, family.specs, family.lanes, trace)
             for spec, rate in zip(family.specs, rates):
                 want = _scalar_rate(spec, trace_kind)
                 if rate != want or rate != oracle_rate(spec, trace):
@@ -340,20 +334,20 @@ def _scalar_detailed_cell(spec: str, trace_kind: str):
 
 class TestDetailedEquivalence:
     """Every ported spec's Section-4 attribution, under both the
-    ``auto`` and ``numpy`` pins, on two trace shapes, against the
+    ``auto`` and ``scalar`` settings, on two trace shapes, against the
     scalar ``simulate_detailed`` loop and the dict-based oracle —
     predictions AND per-access counter ids, bit for bit."""
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
-    @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    def test_grid_attribution_matches_scalar(self, mode, trace_kind):
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    def test_grid_attribution_matches_scalar(self, mode, trace_kind, monkeypatch):
         trace = _trace(trace_kind)
         drifted = []
-        for family in plan_families(PORTED_GRID):
+        families = plan_families(PORTED_GRID)  # planned before the pin
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+        for family in families:
             assert family.kind != "scalar", family.specs
-            rows = kernels.family_detailed(
-                family.kind, family.specs, family.lanes, trace, mode=mode
-            )
+            rows = kernels.family_detailed(family.kind, family.specs, family.lanes, trace)
             for spec, (preds, cids, num) in zip(family.specs, rows):
                 want_p, want_c, want_n = _scalar_detailed_cell(spec, trace_kind)
                 if (
@@ -406,9 +400,10 @@ class TestDetailedEquivalence:
 
 class TestDispatch:
     def test_invalid_pin_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "sideways")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            kernels.kernel_mode()
+        for value in ("sideways", "numpy"):
+            monkeypatch.setenv("REPRO_KERNEL", value)
+            with pytest.raises(ValueError, match="REPRO_KERNEL must be auto/c/scalar"):
+                kernels.kernel_mode()
 
     def test_default_is_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
@@ -431,50 +426,10 @@ class TestDispatch:
 
     def test_forced_c_without_compiler_raises(self, monkeypatch):
         kind, lane = kernels.kernel_for_spec("agree:index=6")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
         with faults.deny_compiler():
             with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-                kernels.family_rates(
-                    kind, ["agree:index=6"], [lane], _trace("toy"), mode="c"
-                )
-
-    def test_numpy_pin_degrades_cloop_schemes_to_scalar(self):
-        spec = "trimode:dir=5,hist=3,choice=5"
-        kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="trimode-kernel")
-        assert event.actual == "scalar"
-        assert event.severity == "degraded"
-        assert "no numpy kernel" in event.reason
-        assert rates == [_scalar_rate(spec, "toy")]
-
-    def test_numpy_pin_keeps_counter_major_on_numpy(self):
-        spec = "tournament:index=6,meta=5"
-        kind, lane = kernels.kernel_for_spec(spec)
-        kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="tournament-kernel")
-        assert event.actual == "numpy"
-        assert event.severity == "info"
-
-    def test_numpy_pin_degrades_perceptron_to_scalar(self):
-        """Perceptron training feeds back into training — cloop tier,
-        so a numpy pin must degrade it (health-reported), bit-exact."""
-        spec = "perceptron:index=5,hist=6"
-        kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="perceptron-kernel")
-        assert event.actual == "scalar"
-        assert event.severity == "degraded"
-        assert "no numpy kernel" in event.reason
-        assert rates == [_scalar_rate(spec, "toy")]
-
-    def test_numpy_pin_keeps_biasfilter_on_numpy(self):
-        spec = "biasfilter:table=6,run=2,sub_index=6,sub_hist=4"
-        kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="biasfilter-kernel")
-        assert event.actual == "numpy"
-        assert event.severity == "info"
-        assert rates == [_scalar_rate(spec, "toy")]
+                kernels.family_rates(kind, ["agree:index=6"], [lane], _trace("toy"))
 
     def test_unsupported_biasfilter_sub_is_vetoed_by_name(self, monkeypatch):
         """A bias-filter spec whose sub-predictor has no kernel lane
@@ -499,9 +454,9 @@ class TestDispatch:
         prediction lane computes, and family_rates must use it."""
         trace = _trace("toy")
         kind, lane = kernels.kernel_for_spec(spec)
-        entry = kernels.PORTED[kind]
+        entry = PORTED[kind]
         assert entry.rates is not None
-        direct = entry.rates(lane, trace)
+        (direct,) = entry.rates([lane], trace)
         (preds,) = kernels.family_predictions(kind, [spec], [lane], trace)
         assert direct == np.count_nonzero(preds != trace.outcomes) / len(trace)
         health.clear()
@@ -519,7 +474,7 @@ class TestDispatch:
             denied = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
             (event,) = health.events(component="agree-kernel")
             assert event.expected == "c"
-            assert event.actual == "numpy"
+            assert event.actual == "scalar"
             assert event.severity == "degraded"
             assert "REPRO_NO_CC" in event.reason
         assert denied == baseline
@@ -534,24 +489,9 @@ class TestDispatch:
         assert event.actual == "c"
         assert event.severity == "info"
 
-    def test_bimode_kernel_inherits_registry_pin(self, monkeypatch):
-        from repro.sim.batch_bimode import _kernel_mode
-
-        monkeypatch.delenv("REPRO_BIMODE_KERNEL", raising=False)
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert _kernel_mode() == "numpy"
-        # the scheme-specific pin wins over the registry-wide one
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "python")
-        assert _kernel_mode() == "python"
-        # scalar pin maps to auto here: the planner already routed
-        # scalar-pinned specs away from the bimode module
-        monkeypatch.delenv("REPRO_BIMODE_KERNEL", raising=False)
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert _kernel_mode() == "auto"
-
-    def test_registry_numpy_pin_is_end_to_end_identical(self, monkeypatch):
+    def test_registry_scalar_pin_is_end_to_end_identical(self, monkeypatch):
         """The whole ALL_SPECS grid lands on the same numbers under
-        REPRO_KERNEL=numpy as under the default dispatch."""
+        REPRO_KERNEL=scalar as under the default dispatch."""
         from repro.sim.fused import family_rates as fused_rates
 
         def grid():
@@ -562,14 +502,14 @@ class TestDispatch:
 
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         baseline = grid()
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         assert grid() == baseline
 
 
 class TestDifferentialFuzz:
     """Hypothesis differential replay: random traces through every
-    engine each ported spec qualifies for (scalar step loop, batch
-    simulate, oracle, each lane engine) via ``diff_spec``."""
+    implementation of each ported spec (scalar step loop, batch
+    simulate, oracle, the batch kernel) via ``diff_spec``."""
 
     @given(
         spec=st.sampled_from(PORTED_GRID),

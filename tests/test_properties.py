@@ -180,13 +180,11 @@ DIFFERENTIAL_SPECS = [
 
 
 def _fuzz_tier(scheme: str) -> str:
-    """Light tier for the stateless schemes (the statics carry a direct
-    ``rates`` hook), heavy for everything with a real automaton.  The
-    SCALAR_ONLY tier that used to define "light" is retired and empty."""
+    """Light tier for the stateless schemes (the statics, whose kernel
+    needs no compiler), heavy for everything with a real automaton."""
     from repro.sim import kernels
 
-    entry = kernels.PORTED.get(scheme)
-    return "light" if entry is not None and entry.rates is not None else "heavy"
+    return "heavy" if kernels.KERNELS[scheme].compiled else "light"
 
 
 LIGHT_DIFFERENTIAL_SPECS = [

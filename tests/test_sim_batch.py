@@ -1,31 +1,41 @@
-"""Equivalence tests for the batched multi-lane gshare kernel.
+"""Equivalence tests for the compiled gshare kernels.
 
 The scalar step interface (:func:`repro.sim.engine.run_steps`) is the
-semantic reference; every lane the batch kernel produces must match it
-bit-for-bit — predictions and rates — including degenerate histories
-and traces.
+semantic reference; every lane of the fused family pass
+(:func:`gshare_family_rates`) and of the attribution pass
+(:func:`gshare_lane_detailed`) must match it bit-for-bit — predictions
+and rates — including degenerate histories and traces.
 """
 
 import numpy as np
 import pytest
 
 from repro.predictors.gshare import GSharePredictor
+from repro.sim import _cstep
 from repro.sim.batch import (
     GShareLane,
-    gshare_lane_predictions,
-    gshare_lane_rates,
+    gshare_family_rates,
+    gshare_lane_detailed,
     lane_for_spec,
 )
 from repro.sim.engine import run_steps
-from repro.traces.record import BranchTrace
 from tests.conftest import make_toy_trace, make_trace
 
+needs_cc = pytest.mark.skipif(not _cstep.available(), reason="no C compiler")
 
-def reference(lane: GShareLane, trace: BranchTrace):
-    return run_steps(
-        GSharePredictor(index_bits=lane.index_bits, history_bits=lane.history_bits),
-        trace,
-    )
+
+def assert_lanes_match(lanes, trace):
+    """Fused rates, attribution predictions and counter ids of every
+    lane equal the scalar reference's."""
+    rates = gshare_family_rates(lanes, trace)
+    for lane, rate in zip(lanes, rates):
+        scalar = GSharePredictor(lane.index_bits, lane.history_bits)
+        ref = run_steps(scalar, trace)
+        preds, ids = gshare_lane_detailed(lane, trace)
+        np.testing.assert_array_equal(preds, ref.predictions, err_msg=lane.spec)
+        assert rate == ref.misprediction_rate, lane.spec
+        scalar.reset()
+        np.testing.assert_array_equal(ids, scalar.simulate_detailed(trace).counter_ids)
 
 
 class TestGShareLane:
@@ -69,48 +79,24 @@ class TestLaneForSpec:
         assert lane_for_spec(spec) is None
 
 
+@needs_cc
 class TestPredictionEquivalence:
     def test_every_lane_matches_run_steps(self, toy_trace):
         """All (index_bits, history_bits) lanes up to index 6, in one
-        batch, against the scalar reference."""
-        lanes = [
-            GShareLane(index_bits=i, history_bits=h)
-            for i in range(7)
-            for h in range(i + 1)
-        ]
-        batch = gshare_lane_predictions(lanes, toy_trace)
-        rates = gshare_lane_rates(lanes, toy_trace)
-        for k, lane in enumerate(lanes):
-            ref = reference(lane, toy_trace)
-            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
-            assert rates[k] == ref.misprediction_rate, lane.spec
+        family, against the scalar reference."""
+        assert_lanes_match([GShareLane(i, h) for i in range(7) for h in range(i + 1)], toy_trace)
 
     def test_workload_trace(self, small_workload):
-        lanes = [GShareLane(10, h) for h in (0, 3, 7, 10)]
-        batch = gshare_lane_predictions(lanes, small_workload)
-        rates = gshare_lane_rates(lanes, small_workload)
-        for k, lane in enumerate(lanes):
-            ref = reference(lane, small_workload)
-            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
-            assert rates[k] == ref.misprediction_rate, lane.spec
+        assert_lanes_match([GShareLane(10, h) for h in (0, 3, 7, 10)], small_workload)
 
     def test_zero_history(self, toy_trace):
         """history_bits=0 degenerates to per-PC bimodal."""
-        lane = GShareLane(index_bits=6, history_bits=0)
-        np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], toy_trace)[0],
-            reference(lane, toy_trace).predictions,
-        )
+        assert_lanes_match([GShareLane(index_bits=6, history_bits=0)], toy_trace)
 
     def test_single_counter(self):
         """index_bits=0: every branch hammers one counter."""
         trace = make_trace([4, 8, 12, 4] * 50, [True, False, False, True] * 50)
-        lane = GShareLane(index_bits=0, history_bits=0)
-        ref = reference(lane, trace)
-        np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], trace)[0], ref.predictions
-        )
-        assert gshare_lane_rates([lane], trace) == [ref.misprediction_rate]
+        assert_lanes_match([GShareLane(index_bits=0, history_bits=0)], trace)
 
     @pytest.mark.parametrize(
         "outcomes",
@@ -124,51 +110,31 @@ class TestPredictionEquivalence:
     )
     def test_adversarial_outcome_patterns(self, outcomes):
         trace = make_trace([64 + 4 * (i % 3) for i in range(64)], outcomes)
-        lanes = [GShareLane(2, 0), GShareLane(2, 2), GShareLane(4, 1)]
-        batch = gshare_lane_predictions(lanes, trace)
-        rates = gshare_lane_rates(lanes, trace)
-        for k, lane in enumerate(lanes):
-            ref = reference(lane, trace)
-            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
-            assert rates[k] == ref.misprediction_rate, lane.spec
+        assert_lanes_match([GShareLane(2, 0), GShareLane(2, 2), GShareLane(4, 1)], trace)
 
 
+@needs_cc
 class TestEdgeCases:
     def test_empty_trace(self):
         trace = make_trace([], [])
-        lanes = [GShareLane(4, 2)]
-        assert gshare_lane_predictions(lanes, trace).shape == (1, 0)
-        assert gshare_lane_rates(lanes, trace) == [0.0]
+        preds, ids = gshare_lane_detailed(GShareLane(4, 2), trace)
+        assert preds.shape == ids.shape == (0,)
+        assert gshare_family_rates([GShareLane(4, 2)], trace) == [0.0]
 
     def test_length_one(self):
-        trace = make_trace([64], [False])
-        lane = GShareLane(4, 2)
-        ref = reference(lane, trace)
-        np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], trace)[0], ref.predictions
-        )
-        assert gshare_lane_rates([lane], trace) == [ref.misprediction_rate]
+        assert_lanes_match([GShareLane(4, 2)], make_trace([64], [False]))
 
     def test_length_two(self):
-        trace = make_trace([64, 64], [False, True])
-        lane = GShareLane(3, 3)
-        ref = reference(lane, trace)
-        np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], trace)[0], ref.predictions
-        )
-        assert gshare_lane_rates([lane], trace) == [ref.misprediction_rate]
+        assert_lanes_match([GShareLane(3, 3)], make_trace([64, 64], [False, True]))
 
     def test_no_lanes(self, toy_trace):
-        assert gshare_lane_predictions([], toy_trace).shape == (0, len(toy_trace))
-        assert gshare_lane_rates([], toy_trace) == []
+        assert gshare_family_rates([], toy_trace) == []
 
     def test_rates_match_predictions(self):
-        """The closed-form rate path agrees with counting mispredictions
-        from the materialized prediction path."""
+        """The fused rate pass agrees with counting mispredictions from
+        the attribution pass."""
         trace = make_toy_trace(length=3000, seed=11)
         lanes = [GShareLane(i, h) for i in (3, 5, 8) for h in (0, i // 2, i)]
-        preds = gshare_lane_predictions(lanes, trace)
-        rates = gshare_lane_rates(lanes, trace)
-        for k in range(len(lanes)):
-            expected = int((preds[k] != trace.outcomes).sum()) / len(trace)
-            assert rates[k] == expected
+        for lane, rate in zip(lanes, gshare_family_rates(lanes, trace)):
+            preds, _ = gshare_lane_detailed(lane, trace)
+            assert rate == int((preds != trace.outcomes).sum()) / len(trace)

@@ -1,11 +1,15 @@
-"""Equivalence suite for the lane-batched bi-mode kernel.
+"""Equivalence suite for the bi-mode kernels.
 
-Every execution strategy of :mod:`repro.sim.batch_bimode` (compiled,
-numpy-stepped with the saturated-choice fast path, pure-Python) must be
-bit-for-bit identical to the scalar :class:`repro.core.bimode.
-BiModePredictor` — same per-branch predictions, same integer miss
-counts — across ablation knobs, degenerate table sizes, and degenerate
-traces.
+Every bi-mode spec, run through the kernel registry under each engine
+``REPRO_KERNEL`` selects — ``c``: the fused family pass
+(:func:`bimode_family_rates`) and the attribution pass
+(:func:`bimode_lane_detailed`); ``scalar``: the fallback — must be
+bit-for-bit identical to the scalar
+:class:`repro.core.bimode.BiModePredictor`: same per-branch
+predictions, same counter ids, same integer miss counts — across
+ablation knobs, degenerate table sizes, and degenerate traces.  The
+paper's update rule itself is pinned down separately, as a truth
+table, in ``tests/test_bimode_truth_table.py``.
 """
 
 from __future__ import annotations
@@ -14,12 +18,12 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_predictor
-from repro.sim import _cstep
+from repro.sim import _cstep, kernels
 from repro.sim import batch_bimode as bb
 from repro.sim.engine import run
 from repro.traces.record import BranchTrace
 
-from .conftest import make_toy_trace, scalar_predictions as _scalar_predictions
+from .conftest import make_toy_trace
 
 SPECS = [
     "bimode:dir=6,hist=4,choice=5",
@@ -36,113 +40,69 @@ DEGENERATE_SPECS = [
     "bimode:dir=0,hist=0,choice=3",  # 1-entry banks only
 ]
 
-STRATEGIES = ["c", "numpy", "python"]
+
+def _lanes(specs):
+    lanes = [bb.bimode_lane_for_spec(s) for s in specs]
+    assert all(lane is not None for lane in lanes)
+    return lanes
 
 
-def _use(monkeypatch, strategy: str) -> None:
-    if strategy == "c" and not _cstep.available():
-        pytest.skip("no C compiler available")
-    monkeypatch.setenv("REPRO_BIMODE_KERNEL", strategy)
+def _assert_matches_scalar(specs, trace):
+    """Family rates, attribution predictions and counter ids of every
+    spec equal the scalar predictor's."""
+    rates = kernels.family_rates("bimode", specs, _lanes(specs), trace)
+    rows = kernels.family_detailed("bimode", specs, _lanes(specs), trace)
+    for spec, rate, (preds, ids, num) in zip(specs, rates, rows):
+        expected = make_predictor(spec).simulate_detailed(trace)
+        assert rate == run(make_predictor(spec), trace).misprediction_rate, spec
+        diverging = np.flatnonzero(preds != expected.result.predictions)
+        assert diverging.size == 0, f"{spec}: first divergence at {diverging[:1]}"
+        assert np.array_equal(ids, expected.counter_ids), spec
+        assert num == expected.num_counters, spec
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("engine", ["c", "scalar"])
 class TestBitExactness:
-    def test_rates_match_scalar_engine(self, monkeypatch, strategy, toy_trace):
-        _use(monkeypatch, strategy)
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        assert all(lane is not None for lane in lanes)
-        rates = bb.bimode_lane_rates(lanes, toy_trace)
-        for spec, rate in zip(SPECS, rates):
-            expected = run(make_predictor(spec), toy_trace).misprediction_rate
-            assert rate == expected, spec
+    @pytest.fixture(autouse=True)
+    def _engine(self, engine, monkeypatch):
+        if engine == "c" and not _cstep.available():
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("REPRO_KERNEL", engine)
 
-    def test_predictions_match_scalar_predictor(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
-        trace = make_toy_trace(length=1500, seed=11, num_branches=40)
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        got = bb.bimode_lane_predictions(lanes, trace)
-        for k, spec in enumerate(SPECS):
-            expected = _scalar_predictions(spec, trace)
-            diverging = np.flatnonzero(got[k] != expected)
-            assert diverging.size == 0, (
-                f"{spec}: first divergence at branch {diverging[:1]}"
-            )
+    def test_rates_match_scalar_engine(self, toy_trace):
+        _assert_matches_scalar(SPECS, toy_trace)
 
-    def test_degenerate_table_sizes(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_predictions_match_scalar_predictor(self):
+        _assert_matches_scalar(SPECS, make_toy_trace(length=1500, seed=11, num_branches=40))
+
+    def test_degenerate_table_sizes(self):
         trace = make_toy_trace(length=800, seed=3, num_branches=12)
-        lanes = [bb.bimode_lane_for_spec(s) for s in DEGENERATE_SPECS]
-        assert all(lane is not None for lane in lanes)
-        rates = bb.bimode_lane_rates(lanes, trace)
-        for spec, rate in zip(DEGENERATE_SPECS, rates):
-            assert rate == run(make_predictor(spec), trace).misprediction_rate
+        _assert_matches_scalar(DEGENERATE_SPECS, trace)
 
-    def test_empty_trace(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_empty_trace(self):
         empty = BranchTrace(
             pcs=np.empty(0, dtype=np.int64), outcomes=np.empty(0, dtype=bool)
         )
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        assert bb.bimode_lane_rates(lanes, empty) == [0.0] * len(SPECS)
-        assert bb.bimode_lane_predictions(lanes, empty).shape == (len(SPECS), 0)
+        assert kernels.family_rates("bimode", SPECS, _lanes(SPECS), empty) == [0.0] * len(SPECS)
+        _assert_matches_scalar(SPECS, empty)
 
-    def test_single_branch_trace(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_single_branch_trace(self):
         one = BranchTrace(
             pcs=np.array([24], dtype=np.int64), outcomes=np.array([True])
         )
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        rates = bb.bimode_lane_rates(lanes, one)
-        for spec, rate in zip(SPECS, rates):
-            assert rate == run(make_predictor(spec), one).misprediction_rate
+        _assert_matches_scalar(SPECS, one)
         # power-on state predicts taken (taken bank starts weakly taken)
-        assert bb.bimode_lane_predictions(lanes, one).all()
+        for preds, _, _ in kernels.family_detailed("bimode", SPECS, _lanes(SPECS), one):
+            assert preds.all()
 
-    def test_matrix_rates_across_traces(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
-        traces = [
+    def test_matrix_rates_across_traces(self):
+        """One family, several traces of different lengths: every cell
+        is its own power-on run."""
+        for trace in (
             make_toy_trace(length=900, seed=5),
             make_toy_trace(length=1300, seed=6, num_branches=48),
-            BranchTrace(
-                pcs=np.empty(0, dtype=np.int64), outcomes=np.empty(0, dtype=bool)
-            ),
-        ]
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS[:3]]
-        cells = [(lane, trace) for trace in traces for lane in lanes]
-        rates = bb.bimode_matrix_rates(cells)
-        for (lane, trace), rate in zip(cells, rates):
-            if len(trace) == 0:
-                assert rate == 0.0
-            else:
-                expected = run(make_predictor(lane.spec), trace).misprediction_rate
-                assert rate == expected, lane.spec
-
-
-class TestFastPath:
-    def test_fast_path_fires_and_stays_exact(self, monkeypatch):
-        """A heavily biased trace saturates choice counters; most chunks
-        must take the counter-major replay and still match the scalar
-        engine exactly."""
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "numpy")
-        rng = np.random.default_rng(17)
-        n = 40_000
-        trace = BranchTrace(
-            pcs=rng.integers(0, 8, size=n).astype(np.int64) * 4,
-            outcomes=np.ones(n, dtype=bool),
-        )
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        bb.stats.reset()
-        rates = bb.bimode_lane_rates(lanes, trace)
-        assert bb.stats.fastpath_chunks > 0
-        for spec, rate in zip(SPECS, rates):
-            assert rate == run(make_predictor(spec), trace).misprediction_rate
-
-    def test_fast_path_skipped_on_mixed_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "numpy")
-        trace = make_toy_trace(length=6000, seed=2)
-        bb.stats.reset()
-        bb.bimode_lane_rates([bb.bimode_lane_for_spec(SPECS[0])], trace)
-        assert bb.stats.stepped_chunks > 0
+        ):
+            _assert_matches_scalar(SPECS[:3], trace)
 
 
 class TestLaneParsing:
@@ -175,32 +135,3 @@ class TestLaneParsing:
             bb.BiModeLane(dir_bits=4, hist_bits=6, choice_bits=4)
         with pytest.raises(ValueError):
             bb.BiModeLane(dir_bits=-1, hist_bits=0, choice_bits=0)
-
-
-class TestDispatch:
-    def test_forced_c_without_compiler_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "c")
-        monkeypatch.setattr(bb._cstep, "available", lambda: False)
-        lane = bb.bimode_lane_for_spec(SPECS[0])
-        with pytest.raises(RuntimeError, match="REPRO_BIMODE_KERNEL"):
-            bb.bimode_lane_rates([lane], make_toy_trace(length=10))
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "turbo")
-        lane = bb.bimode_lane_for_spec(SPECS[0])
-        with pytest.raises(ValueError, match="turbo"):
-            bb.bimode_lane_rates([lane], make_toy_trace(length=10))
-
-    def test_auto_uses_stepped_for_wide_batches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CC", "1")
-        monkeypatch.setattr(bb._cstep, "available", lambda: False)
-        monkeypatch.setenv("REPRO_BIMODE_STEP_MIN", "4")
-        monkeypatch.delenv("REPRO_BIMODE_KERNEL", raising=False)
-        trace = make_toy_trace(length=500, seed=1)
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        bb.stats.reset()
-        bb.bimode_lane_rates(lanes, trace)
-        assert bb.stats.stepped_chunks > 0
-        bb.stats.reset()
-        bb.bimode_lane_rates(lanes[:2], trace)
-        assert bb.stats.python_pairs == 2
