@@ -114,8 +114,19 @@ def _rates_by_spec(
     jobs: Optional[int] = None,
     journal=None,
 ) -> Dict[str, Dict[str, float]]:
-    """``result[spec][bench]`` for the whole spec set, batched per trace."""
-    return evaluate_matrix(specs, traces, cache=cache, jobs=jobs, journal=journal)
+    """``result[spec][bench]`` for the whole spec set, batched per trace.
+
+    Raises ``RuntimeError`` naming the quarantined cells if any cell
+    failed: a curve averaged over part of the suite is never returned.
+    """
+    matrix = evaluate_matrix(specs, traces, cache=cache, jobs=jobs, journal=journal)
+    if matrix.failures:
+        raise RuntimeError(
+            f"sweep quarantined {len(matrix.failures)} task(s); refusing a "
+            "partial-suite average: "
+            + "; ".join(str(cell) for cell in matrix.failures)
+        )
+    return matrix
 
 
 def _argmin_spec(

@@ -1,12 +1,17 @@
-"""Multi-tenant sweep scheduler: one shared supervised worker pool.
+"""Multi-tenant sweep scheduler over the one supervised executor.
 
-Every sweep the daemon accepts — from however many clients — runs on a
-single :class:`~concurrent.futures.ProcessPoolExecutor`, supervised
-with the same :class:`repro.sim.parallel.TaskPolicy` machinery the
-one-shot CLI uses (per-task timeouts, bounded retries with exponential
-backoff, pool reseeding after a killed worker, in-parent serial salvage,
-structured quarantine).  On top of that pool the scheduler adds the
-multi-tenant concerns:
+Every sweep the daemon accepts — from however many clients — runs on
+one :class:`repro.sim.parallel.Supervisor`, the executor one-shot
+sweeps use: the same planner (:func:`repro.sim.parallel.plan_cells`:
+specs validated at submit, cache then journal lookups, one task per
+``(trace, spec family)`` for rate *and* detailed jobs), the same worker
+entry (health events travel back with each result), and the same
+:class:`repro.sim.parallel.TaskPolicy` supervision (per-task timeouts,
+bounded retries with exponential backoff, pool reseeding after a killed
+worker, in-daemon serial salvage, quarantine).  A cell computed by the
+service is therefore bit-identical to the same cell from
+``repro-bimode figure2``.  The scheduler keeps only what is
+multi-tenant:
 
 * **fair round-robin across clients** — dispatch cycles over clients
   with pending work, so one client's thousand-cell campaign cannot
@@ -30,12 +35,9 @@ multi-tenant concerns:
   jobs as ``queued``, and returns; a restarted daemon resumes them
   bit-identically.
 
-The scheduler thread is the only mutator of pool state; servers talk
-to it through :meth:`submit` / :meth:`subscribe` under the scheduler
-lock.  Workers are the exact functions one-shot parallel sweeps use
-(:func:`repro.sim.parallel._worker_evaluate` and friends), so a cell
-computed by the service is bit-identical to the same cell from
-``repro-bimode figure2``.
+The scheduler thread is the only driver of the supervisor; servers
+talk to it through :meth:`submit` / :meth:`subscribe` under the
+scheduler lock.
 """
 
 from __future__ import annotations
@@ -44,19 +46,18 @@ import heapq
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro import health
 from repro.faults import FaultInjected, fault_point
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobStore, ServiceJob
 from repro.sim.parallel import (
+    Supervisor,
     TaskPolicy,
     TraceRecipe,
-    _abandon_pool,
-    _worker_detailed,
-    _worker_evaluate,
+    detailed_opts,
+    plan_cells,
+    store_cells,
 )
 
 __all__ = ["QueueFull", "SchedulerStopped", "SweepScheduler", "queue_max_from_env"]
@@ -103,39 +104,6 @@ def service_timeout_from_env() -> Optional[float]:
     return value if value > 0 else None
 
 
-class _ServiceTask:
-    """One pool work item: a family of cells on one trace."""
-
-    __slots__ = (
-        "client",
-        "tkey",
-        "recipe",
-        "specs",
-        "kind",
-        "opts",
-        "priority",
-        "seq",
-        "attempts",
-        "last_error",
-    )
-
-    def __init__(self, client, tkey, recipe, specs, kind, opts, priority, seq):
-        self.client = client
-        self.tkey = tkey
-        self.recipe = recipe
-        self.specs = tuple(specs)
-        self.kind = kind  # "rates" | "detailed"
-        self.opts = opts
-        self.priority = priority
-        self.seq = seq
-        self.attempts = 0
-        self.last_error: Optional[BaseException] = None
-
-    @property
-    def cells(self) -> List[Cell]:
-        return [(self.tkey, spec) for spec in self.specs]
-
-
 class _JobRuntime:
     """In-memory bookkeeping for one active job."""
 
@@ -178,7 +146,7 @@ class SweepScheduler:
         self._wake = threading.Event()
         self._jobs: Dict[str, _JobRuntime] = {}
         #: Per-client priority queues of (-priority, seq, task).
-        self._queues: Dict[str, List[Tuple[int, int, _ServiceTask]]] = {}
+        self._queues: Dict[str, list] = {}
         #: Round-robin order over client ids with pending work.
         self._rr: List[str] = []
         self._rr_next = 0
@@ -206,12 +174,29 @@ class SweepScheduler:
         """Re-queue every job a previous daemon left unfinished.
 
         Their journals replay completed cells, so recovery re-simulates
-        only what was in flight when the daemon died.
+        only what was in flight when the daemon died.  A manifest whose
+        specs no longer validate fails its job, with the error, instead
+        of stopping the daemon.
         """
         resumed = []
         for job in self.store.incomplete():
             job.state = QUEUED
-            self._admit(job, enforce_admission=False)
+            try:
+                self._admit(job, enforce_admission=False)
+            except (TypeError, ValueError) as exc:
+                job.state = FAILED
+                job.error = f"invalid job: {exc}"
+                job.finished_at = time.time()
+                self.store.save(job)
+                health.emit(
+                    "sweep-service",
+                    "recovered",
+                    "failed",
+                    reason=f"{job.job_id}: {exc}",
+                    severity="error",
+                    job=job.job_id,
+                )
+                continue
             resumed.append(job.job_id)
         if resumed:
             health.emit(
@@ -275,18 +260,15 @@ class SweepScheduler:
                 return self._jobs[job.job_id].job
 
             plan = self._plan(job, journal)
-            if (
-                enforce_admission
-                and self._pending_cells + len(plan.fresh_cells) > self.queue_max
-            ):
+            fresh = sum(len(task.specs) for task in plan.tasks)
+            if enforce_admission and self._pending_cells + fresh > self.queue_max:
                 health.emit(
                     "sweep-service",
                     "admitted",
                     "rejected",
                     reason=(
-                        f"queue depth {self._pending_cells} + "
-                        f"{len(plan.fresh_cells)} new cells exceeds "
-                        f"REPRO_SERVICE_QUEUE_MAX={self.queue_max}"
+                        f"queue depth {self._pending_cells} + {fresh} new cells "
+                        f"exceeds REPRO_SERVICE_QUEUE_MAX={self.queue_max}"
                     ),
                     severity="degraded",
                     job=job.job_id,
@@ -296,32 +278,36 @@ class SweepScheduler:
                     f"max {self.queue_max}); retry later"
                 )
 
+            for tkey, known in plan.known.items():
+                for spec, value in known.items():
+                    for name in plan.tkey_benches[tkey]:
+                        job.results.setdefault(spec, {})[name] = value
             runtime = _JobRuntime(
                 job,
                 journal,
                 plan.tkey_benches,
-                set(plan.missing_cells),
+                set(plan.missing),
                 (job.submitted_at + job.timeout) if job.timeout else None,
             )
             self._jobs[job.job_id] = runtime
-            job.state = RUNNING if plan.missing_cells else job.state
-            job.total_cells = plan.total_cells
-            job.completed_cells = plan.total_cells - len(plan.missing_cells)
+            job.state = RUNNING if plan.missing else job.state
+            job.total_cells = len(plan.tkey_benches) * len(set(plan.specs))
+            job.completed_cells = job.total_cells - len(plan.missing)
 
-            # Subscribe to every missing cell; queue tasks only for the
+            # Subscribe to every missing cell; tasks exist only for the
             # cells nobody else is already computing (single flight).
-            for cell in plan.missing_cells:
-                subs = self._cell_subs.get(cell)
-                if subs is None:
-                    self._cell_subs[cell] = {job.job_id}
-                else:
-                    subs.add(job.job_id)
+            for cell in plan.missing:
+                self._cell_subs.setdefault(cell, set()).add(job.job_id)
             for task in plan.tasks:
+                task.client = job.client
+                task.priority = job.priority
+                self._seq += 1
+                task.seq = self._seq
                 self._enqueue(task)
-            self._pending_cells += len(plan.fresh_cells)
+            self._pending_cells += fresh
 
         self.store.save(job)
-        if not plan.missing_cells:
+        if not plan.missing:
             # Everything came from the cache/journal: complete inline.
             with self._mu:
                 self._finalize(runtime)
@@ -369,85 +355,35 @@ class SweepScheduler:
 
     # -- planning ------------------------------------------------------------
 
-    class _Plan:
-        __slots__ = ("tkey_benches", "missing_cells", "fresh_cells", "tasks", "total_cells")
+    def _plan(self, job: ServiceJob, journal):
+        """The shared planner over one job (called under the lock).
 
-        def __init__(self):
-            self.tkey_benches: Dict[str, List[str]] = {}
-            self.missing_cells: List[Cell] = []
-            self.fresh_cells: List[Cell] = []
-            self.tasks: List[_ServiceTask] = []
-            self.total_cells = 0
-
-    def _plan(self, job: ServiceJob, journal) -> "_Plan":
-        """Split a job into cached hits, subscriptions, and new tasks.
-
-        Called under the scheduler lock.  Cached and journalled cells
-        land in ``job.results`` immediately; cells already owned by
-        another job's pending task become subscriptions; the rest group
-        into new tasks (fused families for rate jobs, one cell per task
-        for detailed jobs, matching the one-shot planners).
+        Invalid specs raise before anything is persisted; cells owned
+        by another job's pending task become subscriptions, not tasks.
         """
-        from repro.sim.fused import plan_families
-
-        plan = self._Plan()
-        specs = list(dict.fromkeys(job.specs))
-        rates_job = job.kind == "rates"
-        for bench in job.benchmarks:
-            tkey = bench.tkey
-            plan.tkey_benches.setdefault(tkey, []).append(bench.name)
-        for tkey, benches in plan.tkey_benches.items():
-            ref = next(b for b in job.benchmarks if b.tkey == tkey)
-            plan.total_cells += len(specs)
-            fresh_specs: List[str] = []
-            for spec in specs:
-                hit = self.cache.get(spec, tkey) if rates_job else None
-                if hit is None:
-                    hit = journal.lookup(tkey, spec)
-                    if hit is not None and rates_job:
-                        self.cache.put_many(tkey, {spec: hit})
-                if hit is not None:
-                    for name in benches:
-                        plan_results = job.results.setdefault(spec, {})
-                        plan_results[name] = hit
-                    continue
-                cell = (tkey, spec)
-                plan.missing_cells.append(cell)
-                if cell not in self._cell_subs:
-                    plan.fresh_cells.append(cell)
-                    fresh_specs.append(spec)
-            if not fresh_specs:
-                continue
-            recipe = TraceRecipe(name=ref.name, length=ref.length, seed=ref.seed)
-            if rates_job:
-                groups = [family.specs for family in plan_families(fresh_specs)]
-            else:
-                groups = [(spec,) for spec in fresh_specs]
-            for group in groups:
-                self._seq += 1
-                plan.tasks.append(
-                    _ServiceTask(
-                        client=job.client,
-                        tkey=tkey,
-                        recipe=recipe,
-                        specs=group,
-                        kind=job.kind,
-                        opts={"threshold": None, "include_bias_table": False},
-                        priority=job.priority,
-                        seq=self._seq,
-                    )
-                )
-        return plan
+        traces = {
+            ref.name: TraceRecipe(name=ref.name, length=ref.length, seed=ref.seed)
+            for ref in job.benchmarks
+        }
+        return plan_cells(
+            job.kind,
+            job.specs,
+            traces,
+            cache=self.cache,
+            journal=journal,
+            opts=detailed_opts() if job.kind == "detailed" else None,
+            claimed=self._cell_subs,
+        )
 
     # -- queues and fairness --------------------------------------------------
 
-    def _enqueue(self, task: _ServiceTask) -> None:
+    def _enqueue(self, task) -> None:
         queue = self._queues.setdefault(task.client, [])
         heapq.heappush(queue, (-task.priority, task.seq, task))
         if task.client not in self._rr:
             self._rr.append(task.client)
 
-    def _next_task(self) -> Optional[_ServiceTask]:
+    def _next_task(self):
         """Pop the next dispatchable task, fair round-robin over clients.
 
         Called under the lock.  Tasks whose every cell lost its
@@ -500,56 +436,46 @@ class SweepScheduler:
     def _done_event(self, job: ServiceJob) -> dict:
         return {"event": "done", "job": job.to_dict()}
 
-    def _deliver(self, task: _ServiceTask, values: Dict[str, object]) -> None:
+    def _deliver(self, task, values: Dict[str, object]) -> None:
         """Fan one completed task's cells out to every subscribed job.
 
-        Called under the lock.  Writes the shared cache (rates only),
-        each job's journal, progress events, and finalizes jobs whose
-        last cell arrived.
+        Writes the shared cache, each job's journal (one append per
+        job), progress events, and finalizes jobs whose last cell
+        arrived.
         """
         tkey = task.tkey
-        if task.kind == "rates":
-            self.cache.put_many(tkey, values)
-        else:
-            rates = {
-                spec: summary["misprediction_rate"]
-                for spec, summary in values.items()
-                if isinstance(summary, dict) and "misprediction_rate" in summary
-            }
-            if rates:
-                self.cache.put_many(tkey, rates)
-        touched: Set[str] = set()
-        for spec, value in values.items():
-            cell = (tkey, spec)
-            for job_id in self._cell_subs.pop(cell, ()):  # may be shared
-                runtime = self._jobs.get(job_id)
-                if runtime is None or cell not in runtime.remaining:
-                    continue
-                runtime.journal.record_many(tkey, {spec: value})
-                for bench_name in runtime.tkey_benches.get(tkey, ()):
-                    runtime.job.results.setdefault(spec, {})[bench_name] = value
-                runtime.remaining.discard(cell)
+        with self._mu:
+            store_cells(task.kind, tkey, values, self.cache, None)
+            per_job: Dict[str, Dict[str, object]] = {}
+            for spec, value in values.items():
+                cell = (tkey, spec)
+                for job_id in self._cell_subs.pop(cell, ()):  # may be shared
+                    runtime = self._jobs.get(job_id)
+                    if runtime is not None and cell in runtime.remaining:
+                        per_job.setdefault(job_id, {})[spec] = value
+                self._pending_cells -= 1
+            for job_id, cells in per_job.items():
+                runtime = self._jobs[job_id]
+                runtime.journal.record_many(tkey, cells)
+                for spec, value in cells.items():
+                    for bench_name in runtime.tkey_benches.get(tkey, ()):
+                        runtime.job.results.setdefault(spec, {})[bench_name] = value
+                    runtime.remaining.discard((tkey, spec))
                 runtime.job.completed_cells = runtime.job.total_cells - len(
                     runtime.remaining
                 )
-                touched.add(job_id)
-            self._pending_cells -= 1
-        for job_id in touched:
-            runtime = self._jobs.get(job_id)
-            if runtime is None:
-                continue
-            self._notify(
-                runtime,
-                {
-                    "event": "progress",
-                    "job_id": job_id,
-                    "completed": runtime.job.completed_cells,
-                    "total": runtime.job.total_cells,
-                    "tkey": tkey,
-                },
-            )
-            if not runtime.remaining:
-                self._finalize(runtime)
+                self._notify(
+                    runtime,
+                    {
+                        "event": "progress",
+                        "job_id": job_id,
+                        "completed": runtime.job.completed_cells,
+                        "total": runtime.job.total_cells,
+                        "tkey": tkey,
+                    },
+                )
+                if not runtime.remaining:
+                    self._finalize(runtime)
 
     def _finalize(self, runtime: _JobRuntime) -> None:
         """Terminal transition; called under the lock."""
@@ -605,7 +531,7 @@ class SweepScheduler:
             job=job.job_id,
         )
 
-    def _quarantine_task(self, task: _ServiceTask, exc: BaseException) -> None:
+    def _quarantine_task(self, task, exc: BaseException) -> None:
         """Give up on a task's cells for every subscribed job."""
         detail = f"{type(exc).__name__}: {exc}"
         health.emit(
@@ -637,70 +563,9 @@ class SweepScheduler:
 
     # -- the supervision loop --------------------------------------------------
 
-    def _submit_to_pool(self, pool: ProcessPoolExecutor, task: _ServiceTask):
-        fault_point(
-            "service.dispatch", bench=task.recipe.name, cells=len(task.specs)
-        )
-        if task.kind == "detailed":
-            from repro.analysis.bias import BIAS_THRESHOLD
-
-            opts = dict(task.opts)
-            if opts.get("threshold") is None:
-                opts["threshold"] = BIAS_THRESHOLD
-            return pool.submit(_worker_detailed, task.recipe, task.specs, opts)
-        return pool.submit(_worker_evaluate, task.recipe, task.specs)
-
-    def _run_serial(self, task: _ServiceTask) -> Dict[str, object]:
-        """In-daemon fallback (pool unavailable or final salvage)."""
-        if task.kind == "detailed":
-            from repro.analysis.bias import BIAS_THRESHOLD
-
-            opts = dict(task.opts)
-            if opts.get("threshold") is None:
-                opts["threshold"] = BIAS_THRESHOLD
-            return _worker_detailed(task.recipe, task.specs, opts)[1]
-        return _worker_evaluate(task.recipe, task.specs)[1]
-
-    def _note_failure(self, task: _ServiceTask, exc: BaseException, kind: str) -> bool:
-        """Charge one failed attempt; returns True if retries remain."""
-        task.attempts += 1
-        task.last_error = exc
-        health.emit(
-            "sweep-service",
-            "worker-ok",
-            kind,
-            reason=f"{task.tkey}: {type(exc).__name__}: {exc}",
-            severity="degraded",
-            attempt=task.attempts,
-        )
-        if task.attempts > self.policy.retries:
-            return False
-        if self.policy.backoff:
-            time.sleep(self.policy.backoff * (2 ** max(0, task.attempts - 1)))
-        return True
-
-    def _requeue(self, task: _ServiceTask) -> None:
+    def _requeue(self, task) -> None:
         with self._mu:
             self._enqueue(task)
-
-    def _exhausted(self, task: _ServiceTask, exc: BaseException) -> None:
-        """Final in-daemon serial attempt, then quarantine."""
-        try:
-            values = self._run_serial(task)
-        except Exception as serial_exc:
-            task.attempts += 1
-            self._quarantine_task(task, serial_exc)
-        else:
-            health.emit(
-                "sweep-service",
-                "pool",
-                "serial-salvage",
-                reason=f"{task.tkey} recovered after {task.attempts} failed attempts",
-                severity="degraded",
-                cells=len(task.specs),
-            )
-            with self._mu:
-                self._deliver(task, values)
 
     def _expire_jobs(self) -> None:
         """Fail every running job past its deadline (under the lock)."""
@@ -716,9 +581,14 @@ class SweepScheduler:
                 )
 
     def _loop(self) -> None:
-        pool: Optional[ProcessPoolExecutor] = None
-        pool_broken_serial = False
-        inflight: Dict[object, Tuple[_ServiceTask, float]] = {}
+        supervisor = Supervisor(
+            self.workers,
+            self.policy,
+            "sweep-service",
+            deliver=self._deliver,
+            quarantine=self._quarantine_task,
+            requeue=self._requeue,
+        )
         try:
             while True:
                 with self._mu:
@@ -726,135 +596,29 @@ class SweepScheduler:
                         return
                     draining = self._draining
                     self._expire_jobs()
-                    todo: List[_ServiceTask] = []
-                    if not draining:
-                        while len(inflight) + len(todo) < self.workers:
-                            task = self._next_task()
-                            if task is None:
-                                break
-                            todo.append(task)
-                if draining and not inflight:
-                    return
-                if todo and pool is None and not pool_broken_serial:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=self.workers)
-                    except (OSError, ValueError, RuntimeError) as exc:
-                        health.emit(
-                            "sweep-service",
-                            "pool",
-                            "serial",
-                            reason=f"{type(exc).__name__}: {exc}",
-                            severity="degraded",
-                        )
-                        pool_broken_serial = True
-                if todo and pool_broken_serial:
-                    # No pool on this platform: run in the scheduler
-                    # thread; supervision still applies via _exhausted.
-                    for task in todo:
-                        try:
-                            values = self._run_serial(task)
-                        except Exception as exc:
-                            if self._note_failure(task, exc, "worker-raised"):
-                                self._requeue(task)
-                            else:
-                                self._exhausted(task, exc)
-                        else:
-                            with self._mu:
-                                self._deliver(task, values)
-                    continue
-                if todo:
-                    dispatch_failed = False
-                    for index, task in enumerate(todo):
-                        try:
-                            future = self._submit_to_pool(pool, task)
-                        except FaultInjected as exc:
-                            # service.dispatch drill: a per-task failure,
-                            # not a pool failure — retry just this task.
-                            if self._note_failure(task, exc, "dispatch-fault"):
-                                self._requeue(task)
-                            else:
-                                self._exhausted(task, exc)
-                            continue
-                        except (BrokenProcessPool, RuntimeError) as exc:
-                            for queued_task in todo[index:]:
-                                self._requeue(queued_task)
-                            for _, (pending, _t) in list(inflight.items()):
-                                if self._note_failure(pending, exc, "pool-broken"):
-                                    self._requeue(pending)
-                                else:
-                                    self._exhausted(pending, exc)
-                            inflight.clear()
-                            _abandon_pool(pool)
-                            pool = None
-                            dispatch_failed = True
+                    todo = []
+                    while not draining and len(supervisor.inflight) + len(todo) < self.workers:
+                        task = self._next_task()
+                        if task is None:
                             break
-                        inflight[future] = (task, time.monotonic())
-                    if dispatch_failed:
-                        continue
-                if not inflight:
+                        todo.append(task)
+                if draining and not supervisor.inflight:
+                    return
+                for task in todo:
+                    try:
+                        fault_point(
+                            "service.dispatch", bench=task.recipe.name, cells=len(task.specs)
+                        )
+                    except FaultInjected as exc:
+                        # A per-task failure, not a pool failure: retry
+                        # just this task.
+                        supervisor.fail(task, exc, "dispatch-fault")
+                    else:
+                        supervisor.submit(task)
+                if supervisor.inflight:
+                    supervisor.poll(_TICK_S)
+                elif not todo:
                     self._wake.wait(timeout=_TICK_S if draining else 0.2)
                     self._wake.clear()
-                    continue
-
-                ready, _ = wait(
-                    list(inflight), timeout=_TICK_S, return_when=FIRST_COMPLETED
-                )
-                broken: Optional[BaseException] = None
-                for future in ready:
-                    task, _started = inflight.pop(future)
-                    try:
-                        _, values = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        if self._note_failure(task, exc, "pool-broken"):
-                            self._requeue(task)
-                        else:
-                            self._exhausted(task, exc)
-                    except Exception as exc:
-                        if self._note_failure(task, exc, "worker-raised"):
-                            self._requeue(task)
-                        else:
-                            self._exhausted(task, exc)
-                    else:
-                        with self._mu:
-                            self._deliver(task, values)
-                if broken is not None:
-                    for future, (task, _) in list(inflight.items()):
-                        if self._note_failure(task, broken, "pool-broken"):
-                            self._requeue(task)
-                        else:
-                            self._exhausted(task, broken)
-                    inflight.clear()
-                    _abandon_pool(pool)
-                    pool = None
-                    continue
-                if self.policy.timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        future
-                        for future, (_, started) in inflight.items()
-                        if now - started > self.policy.timeout
-                    ]
-                    if expired:
-                        for future in expired:
-                            task, _ = inflight.pop(future)
-                            future.cancel()
-                            exc = TimeoutError(
-                                f"task exceeded REPRO_TASK_TIMEOUT={self.policy.timeout}s"
-                            )
-                            if self._note_failure(task, exc, "task-timeout"):
-                                self._requeue(task)
-                            else:
-                                self._exhausted(task, exc)
-                        for future, (task, _) in list(inflight.items()):
-                            future.cancel()
-                            self._requeue(task)
-                        inflight.clear()
-                        _abandon_pool(pool)
-                        pool = None
         finally:
-            if pool is not None:
-                if self._stopped:
-                    _abandon_pool(pool)
-                else:
-                    pool.shutdown(wait=True)
+            supervisor.close(abandon=self._stopped)

@@ -1,76 +1,77 @@
-"""Process-parallel sweep execution with supervised, fault-tolerant workers.
+"""One supervised executor for every sweep: one-shot and service.
 
 Design-space sweeps (specs x benchmarks) are embarrassingly parallel
-across traces, so :func:`evaluate_matrix_parallel` ships one work item
-per (trace, spec family) — the fused planner's grouping, after
-deduplicating identical (spec, trace) cells across benchmarks — to a
-``ProcessPoolExecutor``.  Work items carry a
-:class:`TraceRecipe` — ``(name, length, seed)`` plus an optional trace
-store root — rather than the trace arrays themselves: workers map the
-published trace out of the zero-copy store
+across traces.  Every grid in the package — serial and pooled one-shot
+sweeps (:func:`evaluate_matrix_parallel`, behind
+:func:`repro.sim.runner.evaluate_matrix`; :func:`detailed_matrix`),
+cold-store materialization (:func:`materialize_parallel`) and the sweep
+daemon (:class:`repro.service.scheduler.SweepScheduler`) — runs through
+the same three parts, parameterized by cell kind (``rates``,
+``detailed`` or ``materialize``, see ``_CELLS``):
+
+* **the planner** (:func:`plan_cells`) groups benchmarks by trace key,
+  so identical ``(spec, trace)`` cells are simulated once, looks every
+  cell up (result cache then journal for rates, journal for detailed)
+  and groups the missing ones into tasks: one per ``(trace, spec
+  family)`` — the fused planner's grouping — for a worker pool, one per
+  trace when the task runs in-process, so per-trace work (the Section-4
+  pc-code stream) happens once;
+* **the supervisor** (:class:`Supervisor`) owns the
+  ``ProcessPoolExecutor`` and runs each task under :class:`TaskPolicy`:
+  a per-task timeout (``$REPRO_TASK_TIMEOUT``; the pool of an expired
+  task is abandoned so stragglers cannot wedge a sweep), bounded
+  retries with exponential backoff (``$REPRO_TASK_RETRIES``,
+  ``$REPRO_TASK_BACKOFF``), a reseeded pool after a
+  ``BrokenProcessPool`` (a worker killed mid-task), one final
+  in-process attempt (serial salvage), then quarantine into a
+  structured :class:`FailedCell`.  It runs tasks in-process when
+  ``jobs == 1``, when the pool cannot be created, or when a trace has
+  no :class:`TraceRecipe`;
+* **the merger** (:func:`store_cells`) writes each completed task's
+  cells into the result cache and the journal as it finishes; the
+  journal is durable line by line, so a crash loses at most the
+  in-flight tasks.
+
+Tasks carry a :class:`TraceRecipe` — ``(name, length, seed)`` plus an
+optional trace store root — rather than the trace arrays: workers map
+the published trace out of the zero-copy store
 (:class:`repro.traces.store.TraceStore`, shared OS page cache across
-the pool) and materialize it on first use, instead of paying
-multi-megabyte pickles or a regeneration per task.  Cold-store
-materialization itself fans out into the pool as first-class
-supervised tasks (:func:`materialize_parallel`, or recipe-valued
-``traces`` in :func:`evaluate_matrix_parallel`).
+the pool) and materialize it on first use.  The one worker entry ships
+the health events it recorded back with each result, so the parent's
+:mod:`repro.health` log says which engine ran every family in every
+process.  Pool workers restore the default ``SIGTERM`` action and exit
+when their parent dies, so a ``kill -9``'d daemon leaves no orphans.
 
-Every task is individually supervised (:class:`TaskPolicy`):
-
-* a configurable per-task timeout (``$REPRO_TASK_TIMEOUT`` seconds) —
-  an expired task's pool is abandoned and reseeded so stragglers cannot
-  wedge the sweep;
-* bounded retries with exponential backoff (``$REPRO_TASK_RETRIES``,
-  ``$REPRO_TASK_BACKOFF``), including a reseeded pool after a
-  ``BrokenProcessPool`` (a worker killed mid-task);
-* completed results are always salvaged — one crashed worker never
-  discards, or recomputes, a benchmark whose worker already finished;
-* a task that exhausts its retries gets one final in-parent serial
-  attempt, and if that also fails it is quarantined into a structured
-  :class:`FailedCell` (exception type, message, traceback, attempt
-  count) attached to the returned :class:`SweepResult` instead of
-  poisoning the matrix.
-
-Workers never touch the result cache.  The parent filters out cached
-(and journalled — see :class:`repro.sim.journal.SweepJournal`) cells
-before dispatch, merges each worker's rates *as it completes* — into
-the matrix, the cache, and the journal — and the final matrix is
-assembled in input order, deterministic regardless of completion order.
-Inside a worker the cells route exactly as in the serial path, so
-parallel and serial sweeps produce byte-identical tables.
-
-Degradations (pool unavailable -> serial, worker retries, quarantined
-cells) are reported through :mod:`repro.health`.
-
-Detailed (Section-4) analysis sweeps are a first-class workload here
-too: :func:`detailed_matrix` ships one supervised task per ``(trace,
-spec family)`` — cells of one scheme share a fused attribution pass
-(:func:`repro.sim.fused.family_detailed`) — workers reduce each
-attribution simulation to a compact summary dict in-process (kilobytes
-over the pipe, never the per-branch arrays), and completed cells
-persist to a :class:`repro.sim.journal.PayloadJournal` for crash-safe
-resume with bit-identical aggregates.
+Workers never touch the result cache; the final matrix is assembled in
+input order, deterministic regardless of completion order, and a cell
+routes exactly as in a serial sweep, so serial, pooled and service
+sweeps produce byte-identical tables.  Quarantined cells are omitted
+from the matrix and listed on ``SweepResult.failures`` for every
+``jobs`` value; figure-level callers refuse partial results.
 
 Parallelism is controlled by the ``$REPRO_JOBS`` environment knob (or an
-explicit ``jobs`` argument).  ``REPRO_JOBS=1``, unset ``REPRO_JOBS``, an
-unpicklable platform, or traces that carry no recipe all fall back to
-the serial path, which computes bit-identical rates.
+explicit ``jobs`` argument); unset means serial.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 import traceback as _tb
 from collections import deque
-from contextlib import contextmanager
+from contextlib import ExitStack
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import health
+from repro.core.registry import check_specs
 from repro.faults import fault_point
+from repro.sim.fused import plan_families
+from repro.sim.runner import evaluate_specs, trace_key
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -78,13 +79,22 @@ __all__ = [
     "TaskPolicy",
     "FailedCell",
     "SweepResult",
+    "Supervisor",
+    "SweepPlan",
     "recipe_of",
     "parallel_jobs",
     "effective_jobs",
+    "detailed_opts",
+    "plan_cells",
+    "store_cells",
     "materialize_parallel",
     "evaluate_matrix_parallel",
     "detailed_matrix",
 ]
+
+Cell = Tuple[str, str]  # (trace key, spec)
+
+
 
 
 @dataclass(frozen=True)
@@ -210,9 +220,9 @@ class FailedCell:
     traceback: str
     attempts: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
-            f"{self.bench} [{len(self.specs)} specs]: {self.error_type}: "
+            f"{self.bench} x [{', '.join(self.specs)}]: {self.error_type}: "
             f"{self.message} (after {self.attempts} attempts)"
         )
 
@@ -234,38 +244,44 @@ class SweepResult(Dict[str, Dict[str, float]]):
         return sorted({cell.bench for cell in self.failures})
 
 
+# -- tasks and the worker entry ----------------------------------------------------
+
+
 class _Task:
-    """One supervised work item: evaluate a benchmark, run a detailed
-    (Section-4) analysis cell, or materialize a trace into the store
-    (``kind``)."""
+    """One supervised work item: a cell kind's function over ``specs``
+    on one trace.
+
+    ``recipe`` is what a pool worker needs; ``trace`` (when the caller
+    already holds the arrays) is used in-process instead.  ``client``,
+    ``priority`` and ``seq`` order the sweep service's fair queues.
+    """
 
     __slots__ = (
+        "kind",
+        "tkey",
         "bench",
         "recipe",
-        "missing",
-        "kind",
+        "trace",
+        "specs",
         "opts",
+        "client",
+        "priority",
+        "seq",
         "attempts",
-        "last_error",
-        "last_tb",
     )
 
-    def __init__(
-        self,
-        bench: str,
-        recipe: TraceRecipe,
-        missing: List[str],
-        kind: str = "evaluate",
-        opts: Optional[dict] = None,
-    ):
-        self.bench = bench
-        self.recipe = recipe
-        self.missing = list(missing)
+    def __init__(self, kind, tkey, bench, recipe, specs, opts=None, trace=None):
         self.kind = kind
+        self.tkey = tkey
+        self.bench = bench
+        self.recipe: Optional[TraceRecipe] = recipe
+        self.trace: Optional[BranchTrace] = trace
+        self.specs: Tuple[str, ...] = tuple(specs)
         self.opts = opts
+        self.client = ""
+        self.priority = 0
+        self.seq = 0
         self.attempts = 0
-        self.last_error: Optional[BaseException] = None
-        self.last_tb = ""
 
 
 def _recipe_store(recipe: TraceRecipe):
@@ -276,6 +292,15 @@ def _recipe_store(recipe: TraceRecipe):
     from repro.traces.store import TraceStore
 
     return TraceStore(Path(recipe.store_root))
+
+
+def _in_store(recipe: TraceRecipe) -> bool:
+    store = _recipe_store(recipe)
+    if store is None:
+        from repro.workloads.suite import trace_store
+
+        store = trace_store()
+    return store.has(recipe.name, recipe.length, recipe.seed)
 
 
 def _load_recipe(recipe: TraceRecipe) -> BranchTrace:
@@ -289,15 +314,8 @@ def _load_recipe(recipe: TraceRecipe) -> BranchTrace:
     )
 
 
-def _worker_evaluate(
-    recipe: TraceRecipe, specs: Tuple[str, ...]
-) -> Tuple[str, Dict[str, float]]:
-    """Map (or materialize) one trace and evaluate every spec on it."""
-    from repro.sim.runner import evaluate_specs
-
-    fault_point("worker", bench=recipe.name)
-    trace = _load_recipe(recipe)
-    return recipe.name, evaluate_specs(tuple(specs), trace, cache=None)
+def _rate_cells(specs: Sequence[str], trace: BranchTrace, opts) -> Dict[str, float]:
+    return evaluate_specs(specs, trace, cache=None)
 
 
 def _detailed_cells(
@@ -319,7 +337,7 @@ def _detailed_cells(
     from repro.analysis.bias import pc_code_stream
     from repro.analysis.summary import summarize_detailed
     from repro.core.interfaces import DetailedSimulation, SimulationResult
-    from repro.sim.fused import family_detailed, plan_families
+    from repro.sim.fused import family_detailed
 
     pc_codes = pc_code_stream(trace.pcs)  # per-trace, shared by every cell
     out: Dict[str, dict] = {}
@@ -348,196 +366,372 @@ def _detailed_cells(
     return out
 
 
-def _worker_detailed(
-    recipe: TraceRecipe, specs: Tuple[str, ...], opts: dict
-) -> Tuple[str, Dict[str, dict]]:
-    """Map (or materialize) one trace and run detailed cells on it."""
-    fault_point("worker", bench=recipe.name)
-    trace = _load_recipe(recipe)
-    return recipe.name, _detailed_cells(specs, trace, opts)
+def _materialized(specs, trace: BranchTrace, opts) -> None:
+    """A materialize task has no cells: its product is the published
+    trace.  The store's single-flight lock makes overlapping
+    materializers generate at most once between them."""
+    return None
 
 
-def _worker_materialize(recipe: TraceRecipe) -> Tuple[str, None]:
-    """Materialize one cold trace into the store (worker side).
+#: Cell function per task kind: ``(specs, trace, opts) -> values``.
+_CELLS: Dict[str, Callable] = {
+    "rates": _rate_cells,
+    "detailed": _detailed_cells,
+    "materialize": _materialized,
+}
 
-    Returns no rates — the value of the task is the published trace.
-    The store's single-flight lock makes overlapping materializers (a
-    retried task, or an evaluate task racing ahead) generate at most
-    once between them.
+
+def detailed_opts(
+    threshold: Optional[float] = None, include_bias_table: bool = False
+) -> dict:
+    """Options of a detailed task (``threshold=None``: the paper's bias threshold)."""
+    from repro.analysis.bias import BIAS_THRESHOLD
+
+    return {
+        "threshold": float(BIAS_THRESHOLD if threshold is None else threshold),
+        "include_bias_table": bool(include_bias_table),
+    }
+
+
+def _worker_init(parent_pid: int) -> None:
+    """Pool worker set-up: never trap the parent's signals, die with it.
+
+    A forked worker inherits its parent's Python ``SIGTERM`` handler
+    (the daemon's drain, a sweep journal's cache flush); the default
+    action lets a plain ``kill`` reap it.  A parent that dies without
+    shutting the pool down (``kill -9``) leaves idle workers blocked on
+    the call queue forever, so a watchdog thread exits the worker once
+    it has been re-parented.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+    def _watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=_watch, name="parent-watch", daemon=True).start()
+
+
+def _run_task(kind: str, recipe: TraceRecipe, specs, opts):
+    """The pool worker entry: map (or materialize) the trace, run the
+    kind's cell function, and return ``(values, health events)`` so the
+    parent records what ran in the worker."""
     fault_point("worker", bench=recipe.name)
-    _load_recipe(recipe)
-    return recipe.name, None
-
-
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on wedged or dying workers."""
+    events: List[health.DegradationEvent] = []
+    health.add_listener(events.append)
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - cancel_futures needs 3.9+
-        pool.shutdown(wait=False)
-    # Best effort: reclaim workers stuck in a timed-out task so they do
-    # not linger until interpreter exit.  Internal attribute, so guarded.
-    try:
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            proc.terminate()
-    except Exception:  # pragma: no cover - cleanup must never raise
-        pass
+        values = _CELLS[kind](specs, _load_recipe(recipe), opts)
+    finally:
+        health.remove_listener(events.append)
+    return values, events
 
 
-def _run_supervised(
-    tasks: Sequence[_Task],
-    jobs: int,
-    policy: TaskPolicy,
-    on_done=None,
-) -> Tuple[Dict[str, Dict[str, float]], List[_Task], List[_Task]]:
-    """Drive every task through the pool under per-task supervision.
+# -- the supervisor ------------------------------------------------------------------
 
-    Returns ``(done, exhausted, leftover)``: completed rates by
-    benchmark, tasks that failed every pool attempt (candidates for the
-    caller's serial salvage), and tasks never attempted because the pool
-    itself could not be (re)created (the caller runs those through the
-    ordinary serial path, no attempts charged).
+
+class Supervisor:
+    """Owns the worker pool and drives tasks through it under a :class:`TaskPolicy`.
+
+    A task runs in-process when ``workers == 0`` (a serial sweep), when
+    it has no recipe, or once the pool cannot be created (one
+    ``pool -> serial`` event).  A pool task that raises, dies with its
+    worker (``BrokenProcessPool``: every in-flight task is charged, as
+    the crash cannot be attributed) or outlives ``policy.timeout`` (its
+    pool is abandoned; in-flight neighbours are requeued uncharged) is
+    retried with exponential backoff.  After ``policy.retries`` retries
+    it gets one final in-process attempt (serial salvage); a failed
+    in-process attempt quarantines the task.
+
+    The caller owns the cells: ``deliver(task, values)`` receives each
+    completed task, ``quarantine(task, exc)`` each task that failed its
+    final attempt, and ``requeue(task)`` each task due another attempt
+    (default: this supervisor's own queue, drained by :meth:`run`).
+    Health events carry the caller's ``component`` name.
     """
-    done: Dict[str, Dict[str, float]] = {}
-    exhausted: List[_Task] = []
-    queue = deque(tasks)
-    inflight: Dict[object, Tuple[_Task, float]] = {}
-    pool: Optional[ProcessPoolExecutor] = None
-    max_workers = max(1, min(jobs, len(tasks)))
 
-    def _note_failure(task: _Task, exc: BaseException, kind: str) -> None:
+    def __init__(
+        self,
+        workers: int,
+        policy: TaskPolicy,
+        component: str,
+        deliver: Callable,
+        quarantine: Callable,
+        requeue: Optional[Callable] = None,
+    ):
+        self.workers = workers
+        self.policy = policy
+        self.component = component
+        self.deliver = deliver
+        self.quarantine = quarantine
+        self.queue: deque = deque()
+        self.requeue = requeue if requeue is not None else self.queue.append
+        self.inflight: Dict[object, Tuple[_Task, float]] = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._serial = workers <= 0
+
+    def run(self, tasks: Sequence[_Task]) -> None:
+        """Drive ``tasks``, and every retry they earn, to completion."""
+        self.queue.extend(tasks)
+        tick = 0.05 if self.policy.timeout is not None else None
+        try:
+            while self.queue or self.inflight:
+                while self.queue:
+                    self.submit(self.queue.popleft())
+                self.poll(tick)
+        finally:
+            self.close()
+
+    def submit(self, task: _Task) -> None:
+        """Start one task: in the pool, or in-process when it cannot go there."""
+        if task.recipe is None or not self._ensure_pool():
+            self._run_inline(task)
+            return
+        try:
+            future = self._pool.submit(
+                _run_task, task.kind, task.recipe, task.specs, task.opts
+            )
+        except RuntimeError as exc:  # a broken or shut-down pool
+            self.requeue(task)  # never reached a worker: no attempt charged
+            self._reseed(exc)
+            return
+        self.inflight[future] = (task, time.monotonic())
+
+    def poll(self, tick: Optional[float]) -> None:
+        """Wait up to ``tick`` seconds (``None``: until one finishes) and
+        settle every finished, crashed or expired in-flight task."""
+        if not self.inflight:
+            return
+        ready, _ = wait(list(self.inflight), timeout=tick, return_when=FIRST_COMPLETED)
+        broken: Optional[BaseException] = None
+        for future in ready:
+            task, _started = self.inflight.pop(future)
+            try:
+                values, events = future.result()
+            except BrokenProcessPool as exc:
+                broken = exc
+                self.fail(task, exc, "pool-broken")
+            except Exception as exc:
+                self.fail(task, exc, "worker-raised")
+            else:
+                for event in events:
+                    health.record(event)
+                self.deliver(task, values)
+        if broken is not None:
+            self._reseed(broken)
+        elif self.policy.timeout is not None and self.inflight:
+            self._expire()
+
+    def fail(self, task: _Task, exc: BaseException, kind: str) -> None:
+        """Charge ``task`` one failed attempt: retry it, or salvage it in-process."""
         task.attempts += 1
-        task.last_error = exc
-        task.last_tb = "".join(
-            _tb.format_exception(type(exc), exc, exc.__traceback__)
-        )
         health.emit(
-            "parallel-pool",
+            self.component,
             "worker-ok",
             kind,
             reason=f"{task.bench}: {type(exc).__name__}: {exc}",
             severity="degraded",
             attempt=task.attempts,
         )
-        if task.attempts > policy.retries:
-            exhausted.append(task)
-        else:
-            if policy.backoff:
-                time.sleep(policy.backoff * (2 ** max(0, task.attempts - 1)))
-            queue.append(task)
+        if task.attempts > self.policy.retries:
+            self._run_inline(task)
+            return
+        if self.policy.backoff:
+            time.sleep(self.policy.backoff * (2 ** (task.attempts - 1)))
+        self.requeue(task)
 
-    try:
-        while queue or inflight:
-            if pool is None:
-                try:
-                    pool = ProcessPoolExecutor(max_workers=max_workers)
-                except (OSError, ValueError, RuntimeError) as exc:
-                    # Pool unavailable (restricted platform, spawn
-                    # failure): hand everything still outstanding back
-                    # for serial execution.
-                    health.emit(
-                        "parallel-pool",
-                        "pool",
-                        "serial",
-                        reason=f"{type(exc).__name__}: {exc}",
-                        severity="degraded",
-                        cells=len(queue) + len(inflight),
-                    )
-                    leftover = [task for task, _ in inflight.values()]
-                    leftover.extend(queue)
-                    return done, exhausted, leftover
+    def close(self, abandon: bool = False) -> None:
+        """Shut the pool down, waiting for in-flight work unless ``abandon``."""
+        if abandon:
+            self._abandon()
+        elif self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def _ensure_pool(self) -> bool:
+        if self._pool is None and not self._serial:
             try:
-                while queue:
-                    task = queue.popleft()
-                    if task.kind == "materialize":
-                        future = pool.submit(_worker_materialize, task.recipe)
-                    elif task.kind == "detailed":
-                        future = pool.submit(
-                            _worker_detailed,
-                            task.recipe,
-                            tuple(task.missing),
-                            task.opts,
-                        )
-                    else:
-                        future = pool.submit(
-                            _worker_evaluate, task.recipe, tuple(task.missing)
-                        )
-                    inflight[future] = (task, time.monotonic())
-            except (BrokenProcessPool, RuntimeError) as exc:
-                queue.appendleft(task)
-                for fut, (pending_task, _) in list(inflight.items()):
-                    _note_failure(pending_task, exc, "pool-broken")
-                inflight.clear()
-                _abandon_pool(pool)
-                pool = None
-                continue
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_worker_init,
+                    initargs=(os.getpid(),),
+                )
+            except (OSError, ValueError, RuntimeError) as exc:
+                # Restricted platform or spawn failure: everything from
+                # here on runs in-process.
+                health.emit(
+                    self.component,
+                    "pool",
+                    "serial",
+                    reason=f"{type(exc).__name__}: {exc}",
+                    severity="degraded",
+                )
+                self._serial = True
+        return self._pool is not None
 
-            tick = 0.05 if policy.timeout is not None else None
-            ready, _ = wait(
-                list(inflight), timeout=tick, return_when=FIRST_COMPLETED
+    def _run_inline(self, task: _Task) -> None:
+        """Run ``task`` in this process: its only attempt, or its final one."""
+        try:
+            trace = task.trace if task.trace is not None else _load_recipe(task.recipe)
+            values = _CELLS[task.kind](task.specs, trace, task.opts)
+        except Exception as exc:
+            task.attempts += 1
+            self.quarantine(task, exc)
+            return
+        if task.attempts:
+            health.emit(
+                self.component,
+                "pool",
+                "serial-salvage",
+                reason=f"{task.bench} recovered after {task.attempts} failed attempts",
+                severity="degraded",
+                cells=len(task.specs),
             )
-            broken: Optional[BaseException] = None
-            for future in ready:
-                task, _started = inflight.pop(future)
-                try:
-                    _, rates = future.result()
-                except BrokenProcessPool as exc:
-                    broken = exc
-                    _note_failure(task, exc, "pool-broken")
-                except Exception as exc:
-                    _note_failure(task, exc, "worker-raised")
-                else:
-                    if rates is not None:
-                        done[task.bench] = rates
-                    if on_done is not None:
-                        on_done(task, rates)
-            if broken is not None:
-                # The pool is poisoned: every other in-flight task is
-                # charged one attempt (we cannot attribute the crash)
-                # and retried on a fresh pool.
-                for future, (task, _) in list(inflight.items()):
-                    _note_failure(task, broken, "pool-broken")
-                inflight.clear()
-                _abandon_pool(pool)
-                pool = None
+        self.deliver(task, values)
+
+    def _reseed(self, exc: BaseException) -> None:
+        """The pool is poisoned: charge every in-flight task, start afresh."""
+        inflight, self.inflight = self.inflight, {}
+        self._abandon()
+        for task, _ in inflight.values():
+            self.fail(task, exc, "pool-broken")
+
+    def _expire(self) -> None:
+        now = time.monotonic()
+        expired = {
+            future
+            for future, (_, started) in self.inflight.items()
+            if now - started > self.policy.timeout
+        }
+        if not expired:
+            return
+        inflight, self.inflight = self.inflight, {}
+        self._abandon()
+        for future, (task, _) in inflight.items():
+            if future in expired:
+                self.fail(
+                    task,
+                    TimeoutError(f"task exceeded REPRO_TASK_TIMEOUT={self.policy.timeout}s"),
+                    "task-timeout",
+                )
+            else:
+                # Innocent neighbours go back untouched: their pool is
+                # being abandoned, not their work.
+                self.requeue(task)
+
+    def _abandon(self) -> None:
+        """Tear the pool down without waiting on wedged or dying workers."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        # ``shutdown`` drops the process table, so take it first.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in processes:
+            try:
+                proc.terminate()
+            except Exception:  # pragma: no cover - cleanup must never raise
+                pass
+
+
+# -- the planner and the merger ------------------------------------------------------
+
+
+class SweepPlan:
+    """A (spec x benchmark) grid split into known cells and tasks.
+
+    ``known[tkey]`` holds the cells found in the cache or journal,
+    ``missing`` every other cell, and ``tasks`` the work for the
+    missing cells nobody has claimed yet.
+    """
+
+    def __init__(self, specs: List[str]):
+        self.specs = specs
+        self.tkey_benches: Dict[str, List[str]] = {}
+        self.known: Dict[str, Dict[str, object]] = {}
+        self.missing: List[Cell] = []
+        self.tasks: List[_Task] = []
+
+
+def _lookup(kind: str, tkey: str, spec: str, cache, journal):
+    """A known cell: cache then journal for rates, journal for detailed."""
+    rates = kind == "rates"
+    hit = cache.get(spec, tkey) if rates and cache is not None else None
+    if hit is None and journal is not None:
+        hit = journal.lookup(tkey, spec)
+        if hit is not None and rates and cache is not None:
+            cache.put_many(tkey, {spec: hit})
+    return hit
+
+
+def plan_cells(
+    kind: str,
+    specs,
+    traces: Mapping[str, object],
+    cache=None,
+    journal=None,
+    pooled: bool = True,
+    opts: Optional[dict] = None,
+    claimed=(),
+) -> SweepPlan:
+    """Plan a sweep of ``kind`` cells over ``traces`` (benchmark ->
+    trace or :class:`TraceRecipe`).
+
+    Every spec is validated first (:func:`repro.core.registry.check_specs`):
+    an invalid one raises, naming it, before any cell runs or anything
+    is persisted.  Benchmarks sharing a trace key share its cells.  A
+    trace's unknown cells not in ``claimed`` become one task per spec
+    family when ``pooled`` and the trace has a recipe, else one task
+    for the whole trace.
+    """
+    plan = SweepPlan(check_specs(specs))
+    unique = list(dict.fromkeys(plan.specs))
+    sources: Dict[str, Tuple[str, object]] = {}
+    for bench, value in traces.items():
+        tkey = trace_key(value)
+        plan.tkey_benches.setdefault(tkey, []).append(bench)
+        sources.setdefault(tkey, (bench, value))
+    for tkey, (bench, value) in sources.items():
+        known = plan.known[tkey] = {}
+        fresh: List[str] = []
+        for spec in unique:
+            hit = _lookup(kind, tkey, spec, cache, journal)
+            if hit is not None:
+                known[spec] = hit
                 continue
-            if policy.timeout is not None and inflight:
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, (_, started) in inflight.items()
-                    if now - started > policy.timeout
-                ]
-                if expired:
-                    for future in expired:
-                        task, _ = inflight.pop(future)
-                        future.cancel()
-                        _note_failure(
-                            task,
-                            TimeoutError(
-                                f"task exceeded REPRO_TASK_TIMEOUT={policy.timeout}s"
-                            ),
-                            "task-timeout",
-                        )
-                    # Innocent in-flight neighbours go back untouched:
-                    # their pool is being abandoned, not their work.
-                    for future, (task, _) in list(inflight.items()):
-                        future.cancel()
-                        queue.append(task)
-                    inflight.clear()
-                    _abandon_pool(pool)
-                    pool = None
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-    return done, exhausted, []
+            plan.missing.append((tkey, spec))
+            if (tkey, spec) not in claimed:
+                fresh.append(spec)
+        if not fresh:
+            continue
+        if isinstance(value, TraceRecipe):
+            recipe, trace = value, None
+        else:
+            recipe, trace = recipe_of(value), value
+        if pooled and recipe is not None:
+            groups = [family.specs for family in plan_families(fresh)]
+        else:
+            groups = [fresh]
+        for group in groups:
+            plan.tasks.append(_Task(kind, tkey, bench, recipe, group, opts, trace))
+    return plan
 
 
-def _quarantine(task: _Task, exc: BaseException) -> FailedCell:
+def store_cells(kind: str, tkey: str, values: Mapping[str, object], cache, journal) -> None:
+    """Persist one task's cells: the rate cache (a detailed summary
+    feeds its ``misprediction_rate``) and the journal."""
+    if cache is not None:
+        if kind != "rates":
+            values = {spec: v["misprediction_rate"] for spec, v in values.items()}
+        cache.put_many(tkey, values)
+    if journal is not None:
+        journal.record_many(tkey, values)
+
+
+def _failed_cell(task: _Task, exc: BaseException) -> FailedCell:
     cell = FailedCell(
         bench=task.bench,
-        specs=tuple(task.missing),
+        specs=task.specs,
         error_type=type(exc).__name__,
         message=str(exc),
         traceback="".join(_tb.format_exception(type(exc), exc, exc.__traceback__)),
@@ -555,6 +749,83 @@ def _quarantine(task: _Task, exc: BaseException) -> FailedCell:
     return cell
 
 
+def _sweep(
+    kind: str,
+    specs,
+    traces: Mapping[str, object],
+    cache,
+    progress,
+    jobs: Optional[int],
+    journal,
+    policy: Optional[TaskPolicy],
+    opts: Optional[dict] = None,
+) -> SweepResult:
+    """Plan, supervise and merge one one-shot sweep."""
+    jobs = effective_jobs(jobs)
+    pooled = jobs > 1
+    per_bench: Dict[str, Dict[str, object]] = {bench: {} for bench in traces}
+    failures: List[FailedCell] = []
+
+    def merge(tkey: str, values: Mapping[str, object]) -> None:
+        for bench in plan.tkey_benches[tkey]:
+            per_bench[bench].update(values)
+            if progress is not None:
+                for spec, value in values.items():
+                    progress(spec, bench, value)
+
+    def deliver(task: _Task, values) -> None:
+        if values is not None:  # None: a materialize task
+            store_cells(kind, task.tkey, values, cache, journal)
+            merge(task.tkey, values)
+
+    def quarantine(task: _Task, exc: BaseException) -> None:
+        # A failed materialize task only lost a head start: its trace's
+        # cell tasks materialize on demand and carry any real failure.
+        if task.kind != "materialize":
+            failures.append(_failed_cell(task, exc))
+
+    with ExitStack() as stack:
+        if journal is not None:
+            stack.enter_context(journal.guard(cache))
+        if cache is not None:
+            stack.enter_context(cache.deferred())  # one write per trace
+        plan = plan_cells(kind, specs, traces, cache, journal, pooled=pooled, opts=opts)
+        for tkey, known in plan.known.items():
+            merge(tkey, known)
+        tasks = plan.tasks
+        if pooled:
+            # Cold traces fan out across the pool ahead of their cell
+            # tasks; a cell task reaching a still-cold trace joins the
+            # store's single-flight wait.
+            recipes = {task.tkey: task.recipe for task in tasks if task.trace is None}
+            tasks = [
+                _Task("materialize", tkey, recipe.name, recipe, ())
+                for tkey, recipe in recipes.items()
+                if not _in_store(recipe)
+            ] + tasks
+        Supervisor(
+            min(jobs, len(tasks)) if pooled else 0,
+            policy if policy is not None else TaskPolicy.from_env(),
+            "parallel-pool",
+            deliver,
+            quarantine,
+        ).run(tasks)
+    return SweepResult(
+        {
+            spec: {
+                bench: per_bench[bench][spec]
+                for bench in traces
+                if spec in per_bench[bench]
+            }
+            for spec in plan.specs
+        },
+        failures=failures,
+    )
+
+
+# -- the one-shot entry points -------------------------------------------------------
+
+
 def materialize_parallel(
     names: Sequence[str],
     length=None,
@@ -567,18 +838,16 @@ def materialize_parallel(
 
     ``length`` is one length for every benchmark, a ``{name: length}``
     mapping, or ``None`` for each profile's default.  Each benchmark
-    becomes one supervised materialize task (retries, pool reseeding,
-    timeout — the full :class:`TaskPolicy` treatment).  Tasks that
-    exhaust every retry are retried once serially in the parent; the
-    store's single-flight lock guarantees that overlapping attempts
-    generate each trace at most once between them.
+    becomes one supervised materialize task (the full
+    :class:`TaskPolicy` treatment); a task that fails its final
+    in-process attempt raises.  The store's single-flight lock
+    guarantees that overlapping attempts generate each trace at most
+    once between them.
     """
     from repro.workloads.profiles import get_profile
     from repro.workloads.suite import trace_store
 
     jobs = effective_jobs(jobs)
-    if policy is None:
-        policy = TaskPolicy.from_env()
     store_root = str(trace_store(cache_dir).root) if cache_dir is not None else None
 
     def _length(name: str) -> int:
@@ -588,39 +857,21 @@ def materialize_parallel(
             return int(length)
         return get_profile(name).default_length
 
-    tasks = [
-        _Task(
-            name,
-            TraceRecipe(
-                name=name,
-                length=_length(name),
-                seed=seed,
-                store_root=store_root,
-            ),
-            [],
-            kind="materialize",
-        )
-        for name in names
-    ]
-    if not tasks:
-        return
-    if jobs <= 1:
-        for task in tasks:
-            _load_recipe(task.recipe)
-        return
-    _, exhausted, leftover = _run_supervised(tasks, jobs, policy)
-    for task in exhausted + leftover:
-        # Serial fallback in the parent; failures surface to the caller.
-        _load_recipe(task.recipe)
+    tasks = []
+    for name in names:
+        recipe = TraceRecipe(name, _length(name), seed, store_root=store_root)
+        tasks.append(_Task("materialize", recipe.tkey, name, recipe, ()))
 
+    def _raise(task: _Task, exc: BaseException) -> None:
+        raise exc
 
-def _is_recipe(value) -> bool:
-    return isinstance(value, TraceRecipe)
-
-
-def _resolve_trace(value) -> BranchTrace:
-    """A real trace for serial evaluation (maps recipes via the store)."""
-    return _load_recipe(value) if _is_recipe(value) else value
+    Supervisor(
+        min(jobs, len(tasks)) if jobs > 1 else 0,
+        policy if policy is not None else TaskPolicy.from_env(),
+        "parallel-pool",
+        lambda task, values: None,
+        _raise,
+    ).run(tasks)
 
 
 def evaluate_matrix_parallel(
@@ -632,187 +883,27 @@ def evaluate_matrix_parallel(
     journal=None,
     policy: Optional[TaskPolicy] = None,
 ) -> SweepResult:
-    """Parallel :func:`repro.sim.runner.evaluate_matrix`.
+    """Rates for every (spec, benchmark) pair: ``result[spec][bench]``.
 
-    Identical ``(spec, trace)`` cells are simulated exactly once: the
-    matrix is planned per unique trace key — benchmarks sharing a trace
-    (and repeated specs in the grid) collapse onto one set of cells,
-    and every completed cell fans back out to each requesting benchmark
-    key.  A trace's missing cells then ship as one supervised task per
-    spec *family* (the fused planner's grouping, see
-    :mod:`repro.sim.fused`) rather than per cell, while cache and
-    journal entries stay per-cell — so resume, salvage, and quarantine
-    granularity are unchanged.  Cells already recorded in ``cache`` or
-    ``journal`` are never recomputed; each completed task is merged
-    (matrix + cache + journal) as soon as it finishes, so a crash or
-    interrupt loses at most the in-flight tasks.  Tasks that exhaust
-    every retry and the final serial attempt are quarantined on
-    ``SweepResult.failures`` — their cells are omitted from the matrix
-    rather than poisoning it.
+    The executor behind :func:`repro.sim.runner.evaluate_matrix`, for
+    any ``jobs``.  Identical ``(spec, trace)`` cells are simulated
+    exactly once: benchmarks sharing a trace (and repeated specs in the
+    grid) collapse onto one set of cells, and every completed cell fans
+    back out to each requesting benchmark.  Cells already recorded in
+    ``cache`` or ``journal`` are never recomputed; each completed task
+    is merged (matrix + cache + journal) as soon as it finishes, so a
+    crash or interrupt loses at most the in-flight tasks.  The cache
+    is written once per trace at the end (SIGINT/SIGTERM flush it
+    early when a journal guards the sweep).  Tasks that fail every
+    attempt are quarantined on ``SweepResult.failures`` — their cells
+    are omitted from the matrix rather than poisoning it.
 
     ``traces`` values may be :class:`TraceRecipe` instead of loaded
-    arrays: the sweep then fans cold-store materialization out into the
-    pool as first-class supervised tasks ahead of the evaluate tasks,
-    and workers map the published trace instead of regenerating it.
+    arrays: a pooled sweep then fans cold-store materialization out
+    into the pool as supervised tasks ahead of the cell tasks, and
+    workers map the published trace instead of regenerating it.
     """
-    from repro.core.registry import check_specs
-    from repro.sim.fused import plan_families
-    from repro.sim.runner import evaluate_specs, trace_key
-
-    specs = check_specs(specs)
-    jobs = effective_jobs(jobs)
-    if policy is None:
-        policy = TaskPolicy.from_env()
-
-    # Plan per unique trace key: which cells are not already
-    # cached/journalled?  ``local`` holds trace keys (not benchmarks)
-    # for the in-parent serial path.
-    per_bench: Dict[str, Dict[str, float]] = {bench: {} for bench in traces}
-    tasks: List[_Task] = []
-    materialize: List[_Task] = []
-    local: List[str] = []
-    tkeys = {
-        bench: value.tkey if _is_recipe(value) else trace_key(value)
-        for bench, value in traces.items()
-    }
-    tkey_benches: Dict[str, List[str]] = {}
-    tkey_value: Dict[str, object] = {}
-    for bench, value in traces.items():
-        tkey_benches.setdefault(tkeys[bench], []).append(bench)
-        tkey_value.setdefault(tkeys[bench], value)
-
-    for tkey, benches in tkey_benches.items():
-        value = tkey_value[tkey]
-        known: Dict[str, float] = {}
-        missing: List[str] = []
-        for spec in dict.fromkeys(specs):
-            hit = cache.get(spec, tkey) if cache is not None else None
-            if hit is None and journal is not None:
-                hit = journal.lookup(tkey, spec)
-                if hit is not None and cache is not None:
-                    cache.put_many(tkey, {spec: hit})
-            if hit is not None:
-                known[spec] = hit
-            else:
-                missing.append(spec)
-        for bench in benches:
-            per_bench[bench].update(known)
-        if not missing:
-            continue
-        rep = benches[0]
-        recipe = value if _is_recipe(value) else recipe_of(value)
-        if jobs > 1 and recipe is not None:
-            if _is_recipe(value):
-                store = _recipe_store(recipe)
-                if store is None:
-                    from repro.workloads.suite import trace_store
-
-                    store = trace_store()
-                if not store.has(recipe.name, recipe.length, recipe.seed):
-                    materialize.append(_Task(rep, recipe, [], kind="materialize"))
-            for family in plan_families(missing):
-                tasks.append(_Task(rep, recipe, list(family.specs)))
-        else:
-            local.append(tkey)
-
-    failures: List[FailedCell] = []
-
-    def _merge(tkey: str, rates: Dict[str, float]) -> None:
-        for bench in tkey_benches[tkey]:
-            per_bench[bench].update(rates)
-        if cache is not None:
-            cache.put_many(tkey, rates)
-        if journal is not None:
-            journal.record_many(tkey, rates)
-
-    def _on_done(task: _Task, rates) -> None:
-        if rates is not None:
-            _merge(tkeys[task.bench], rates)
-
-    guard = journal.guard(cache) if journal is not None else _null()
-    with guard:
-        if tasks or materialize:
-            # Materialize tasks go first so cold generation fans out
-            # across the pool; an evaluate task reaching a still-cold
-            # trace simply joins the store's single-flight wait.
-            _, exhausted, leftover = _run_supervised(
-                materialize + tasks,
-                jobs,
-                policy,
-                on_done=_on_done,
-            )
-            local.extend(
-                tkeys[task.bench] for task in leftover if task.kind == "evaluate"
-            )
-            # Final in-parent serial attempt, then quarantine.  A failed
-            # materialize task is never quarantined: its bench's
-            # evaluate task materializes on demand, so the sweep only
-            # lost a head start.
-            for task in exhausted:
-                if task.kind == "materialize":
-                    health.emit(
-                        "trace-store",
-                        "pool-materialize",
-                        "deferred-to-evaluate",
-                        reason=f"{task.bench}: {type(task.last_error).__name__}: "
-                        f"{task.last_error}",
-                        severity="degraded",
-                    )
-                    continue
-                try:
-                    rates = evaluate_specs(
-                        task.missing, _resolve_trace(traces[task.bench]), cache=None
-                    )
-                except Exception as exc:
-                    task.attempts += 1
-                    failures.append(_quarantine(task, exc))
-                else:
-                    health.emit(
-                        "parallel-pool",
-                        "pool",
-                        "serial-salvage",
-                        reason=f"{task.bench} recovered after {task.attempts} failed attempts",
-                        severity="degraded",
-                        cells=len(task.missing),
-                    )
-                    _merge(tkeys[task.bench], rates)
-
-        for tkey in dict.fromkeys(local):
-            rep = tkey_benches[tkey][0]
-            missing = [s for s in dict.fromkeys(specs) if s not in per_bench[rep]]
-            if not missing:
-                continue
-            try:
-                rates = evaluate_specs(
-                    missing, _resolve_trace(tkey_value[tkey]), cache=None
-                )
-            except Exception as exc:
-                value = tkey_value[tkey]
-                task = _Task(
-                    rep, value if _is_recipe(value) else recipe_of(value), missing
-                )
-                task.attempts = 1
-                failures.append(_quarantine(task, exc))
-            else:
-                _merge(tkey, rates)
-
-    if progress is not None:
-        for bench in traces:
-            for spec in specs:
-                if spec in per_bench[bench]:
-                    progress(spec, bench, per_bench[bench][spec])
-
-    return SweepResult(
-        {
-            spec: {
-                bench: per_bench[bench][spec]
-                for bench in traces
-                if spec in per_bench[bench]
-            }
-            for spec in specs
-        },
-        failures=failures,
-    )
+    return _sweep("rates", specs, traces, cache, progress, jobs, journal, policy)
 
 
 def detailed_matrix(
@@ -826,19 +917,15 @@ def detailed_matrix(
     threshold: Optional[float] = None,
     include_bias_table: bool = False,
 ) -> SweepResult:
-    """Parallel Section-4 analysis sweep: ``{spec: {bench: summary}}``.
+    """Section-4 analysis sweep: ``{spec: {bench: summary}}``.
 
-    The detailed counterpart of :func:`evaluate_matrix_parallel`:
-    every ``(spec, benchmark)`` cell runs a detailed (attribution)
-    simulation and is reduced *in the worker* to the compact summary
-    dict of :func:`repro.analysis.summary.summarize_detailed`.  The
-    sweep ships one supervised task per ``(trace, spec family)`` — the
-    fused planner's grouping, so cells of one scheme share a single
-    fused attribution pass (:func:`repro.sim.fused.family_detailed`)
-    while staying much finer-grained than whole benchmarks; tasks get
-    the full :class:`TaskPolicy` treatment — retries, pool reseeding
-    after a killed worker, timeouts, serial salvage, and quarantine
-    into ``SweepResult.failures``.
+    The detailed counterpart of :func:`evaluate_matrix_parallel`, with
+    the same planner, supervision and quarantine contract: every
+    ``(spec, benchmark)`` cell runs a detailed (attribution) simulation
+    and is reduced, in the process that ran it, to the compact summary
+    dict of :func:`repro.analysis.summary.summarize_detailed`; cells of
+    one scheme share a fused attribution pass
+    (:func:`repro.sim.fused.family_detailed`).
 
     ``journal`` must be a :class:`repro.sim.journal.PayloadJournal`
     (cell values are summary dicts): journalled cells are never
@@ -847,178 +934,6 @@ def detailed_matrix(
     run.  When a rate ``cache`` is passed, each computed summary's
     ``misprediction_rate`` is fed into it as a byproduct, so later rate
     sweeps over the same cells hit for free.
-
-    ``traces`` values may be :class:`TraceRecipe`; cold traces then
-    materialize across the pool first, exactly as in
-    :func:`evaluate_matrix_parallel`.  Every spec is validated before
-    any cell runs (:func:`repro.core.registry.check_specs`): an invalid
-    one raises rather than being quarantined.
     """
-    from repro.analysis.bias import BIAS_THRESHOLD
-    from repro.core.registry import check_specs
-    from repro.sim.runner import trace_key
-
-    if threshold is None:
-        threshold = BIAS_THRESHOLD
-    opts = {
-        "threshold": float(threshold),
-        "include_bias_table": bool(include_bias_table),
-    }
-    specs = check_specs(specs)
-    jobs = effective_jobs(jobs)
-    if policy is None:
-        policy = TaskPolicy.from_env()
-
-    per_bench: Dict[str, Dict[str, dict]] = {}
-    tasks: List[_Task] = []
-    materialize: List[_Task] = []
-    local: List[str] = []
-    tkeys = {
-        bench: value.tkey if _is_recipe(value) else trace_key(value)
-        for bench, value in traces.items()
-    }
-    for bench, value in traces.items():
-        tkey = tkeys[bench]
-        known: Dict[str, dict] = {}
-        missing: List[str] = []
-        for spec in specs:
-            hit = journal.lookup(tkey, spec) if journal is not None else None
-            if hit is not None:
-                known[spec] = hit
-            else:
-                missing.append(spec)
-        per_bench[bench] = known
-        if not missing:
-            continue
-        recipe = value if _is_recipe(value) else recipe_of(value)
-        if jobs > 1 and recipe is not None:
-            if _is_recipe(value):
-                store = _recipe_store(recipe)
-                if store is None:
-                    from repro.workloads.suite import trace_store
-
-                    store = trace_store()
-                if not store.has(recipe.name, recipe.length, recipe.seed):
-                    materialize.append(_Task(bench, recipe, [], kind="materialize"))
-            # One task per (trace, family): specs of one scheme share a
-            # fused detailed pass (precomputed streams, one C arena),
-            # while the journal keeps its per-cell resume granularity.
-            from repro.sim.fused import plan_families
-
-            for family in plan_families(missing):
-                tasks.append(
-                    _Task(
-                        bench,
-                        recipe,
-                        list(family.specs),
-                        kind="detailed",
-                        opts=opts,
-                    )
-                )
-        else:
-            local.append(bench)
-
-    failures: List[FailedCell] = []
-
-    def _merge(bench: str, summaries: Dict[str, dict]) -> None:
-        per_bench[bench].update(summaries)
-        if journal is not None:
-            journal.record_many(tkeys[bench], summaries)
-        if cache is not None:
-            cache.put_many(
-                tkeys[bench],
-                {
-                    spec: summary["misprediction_rate"]
-                    for spec, summary in summaries.items()
-                },
-            )
-
-    def _on_done(task: _Task, summaries) -> None:
-        if summaries is not None:
-            _merge(task.bench, summaries)
-
-    guard = journal.guard(cache) if journal is not None else _null()
-    with guard:
-        if tasks or materialize:
-            _, exhausted, leftover = _run_supervised(
-                materialize + tasks,
-                jobs,
-                policy,
-                on_done=_on_done,
-            )
-            local.extend(
-                task.bench for task in leftover if task.kind == "detailed"
-            )
-            for task in exhausted:
-                if task.kind == "materialize":
-                    health.emit(
-                        "trace-store",
-                        "pool-materialize",
-                        "deferred-to-evaluate",
-                        reason=f"{task.bench}: {type(task.last_error).__name__}: "
-                        f"{task.last_error}",
-                        severity="degraded",
-                    )
-                    continue
-                try:
-                    summaries = _detailed_cells(
-                        task.missing, _resolve_trace(traces[task.bench]), opts
-                    )
-                except Exception as exc:
-                    task.attempts += 1
-                    failures.append(_quarantine(task, exc))
-                else:
-                    health.emit(
-                        "parallel-pool",
-                        "pool",
-                        "serial-salvage",
-                        reason=f"{task.bench} recovered after {task.attempts} failed attempts",
-                        severity="degraded",
-                        cells=len(task.missing),
-                    )
-                    _merge(task.bench, summaries)
-
-        for bench in dict.fromkeys(local):
-            missing = [s for s in specs if s not in per_bench[bench]]
-            if not missing:
-                continue
-            try:
-                summaries = _detailed_cells(
-                    missing, _resolve_trace(traces[bench]), opts
-                )
-            except Exception as exc:
-                value = traces[bench]
-                task = _Task(
-                    bench,
-                    value if _is_recipe(value) else recipe_of(value),
-                    missing,
-                    kind="detailed",
-                    opts=opts,
-                )
-                task.attempts = 1
-                failures.append(_quarantine(task, exc))
-            else:
-                _merge(bench, summaries)
-
-    if progress is not None:
-        for bench in traces:
-            for spec in specs:
-                if spec in per_bench[bench]:
-                    progress(spec, bench, per_bench[bench][spec])
-
-    return SweepResult(
-        {
-            spec: {
-                bench: per_bench[bench][spec]
-                for bench in traces
-                if spec in per_bench[bench]
-            }
-            for spec in specs
-        },
-        failures=failures,
-    )
-
-
-@contextmanager
-def _null():
-    yield None
+    opts = detailed_opts(threshold, include_bias_table)
+    return _sweep("detailed", specs, traces, cache, progress, jobs, journal, policy, opts)

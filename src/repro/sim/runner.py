@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro import health
 from repro.faults import fault_point
-from repro.core.registry import check_specs
 from repro.sim.fused import family_rates, plan_families
 from repro.traces.record import BranchTrace
 from repro.workloads.suite import default_cache_dir
@@ -284,57 +283,24 @@ def evaluate_matrix(
 ) -> Dict[str, Dict[str, float]]:
     """Rates for every (spec, benchmark) pair: ``result[spec][bench]``.
 
-    ``progress`` (optional) is called with ``(spec, bench, rate)`` after
-    each cell, for CLI feedback on long sweeps.  ``jobs`` selects the
-    process-parallel executor (default: the ``$REPRO_JOBS`` knob, serial
+    ``progress`` (optional) is called with ``(spec, bench, rate)`` as
+    each cell becomes known, for CLI feedback on long sweeps.  ``jobs``
+    sizes the worker pool (default: the ``$REPRO_JOBS`` knob, serial
     when unset); results are identical either way.  ``journal``
     (optional, a :class:`repro.sim.journal.SweepJournal`) makes the
     sweep resumable: completed cells are appended to the journal as
     they finish, cells already journalled are never re-simulated, and
     SIGINT/SIGTERM flush the deferred cache before interrupting.  Every
-    spec is validated before any cell runs (:func:`check_specs`).
+    spec is validated before any cell runs
+    (:func:`repro.core.registry.check_specs`).  The result is a
+    :class:`repro.sim.parallel.SweepResult`: cells that failed every
+    attempt are omitted and listed on its ``failures``, for any ``jobs``.
+
+    This is :func:`repro.sim.parallel.evaluate_matrix_parallel` with
+    the default task policy; both run the one supervised executor.
     """
-    specs = check_specs(specs)
-    from repro.sim.parallel import (
-        SweepResult,
-        effective_jobs,
-        evaluate_matrix_parallel,
+    from repro.sim.parallel import evaluate_matrix_parallel
+
+    return evaluate_matrix_parallel(
+        specs, traces, cache=cache, progress=progress, jobs=jobs, journal=journal
     )
-
-    if effective_jobs(jobs) > 1:
-        return evaluate_matrix_parallel(
-            specs, traces, cache=cache, progress=progress, jobs=jobs, journal=journal
-        )
-
-    # Recipe-valued entries (store-backed sweeps) are materialized here
-    # on the serial path; the parallel path fans them out instead.
-    from repro.sim.parallel import _resolve_trace
-
-    traces = {bench: _resolve_trace(value) for bench, value in traces.items()}
-
-    per_bench: Dict[str, Dict[str, float]] = {}
-    maybe_deferred = cache.deferred() if cache is not None else _null_context()
-    guard = journal.guard(cache) if journal is not None else _null_context()
-    with guard, maybe_deferred:
-        pre: Dict[str, Dict[str, float]] = {}
-        if journal is not None:
-            for bench, trace in traces.items():
-                known = journal.completed(trace_key(trace))
-                pre[bench] = {s: known[s] for s in specs if s in known}
-        for bench, trace in traces.items():
-            per_bench[bench] = evaluate_specs(
-                specs, trace, cache=cache, precomputed=pre.get(bench)
-            )
-            if journal is not None:
-                journal.record_many(trace_key(trace), per_bench[bench])
-            if progress is not None:
-                for spec in specs:
-                    progress(spec, bench, per_bench[bench][spec])
-    return SweepResult(
-        {spec: {bench: per_bench[bench][spec] for bench in traces} for spec in specs}
-    )
-
-
-@contextmanager
-def _null_context():
-    yield None

@@ -149,6 +149,44 @@ class TestQuarantine:
             assert result[spec]["xlisp"] == serial_reference[spec]["xlisp"]
 
 
+class TestFigureSweepsRefusePartialSuites:
+    """One quarantine contract for every ``jobs``: the matrix reports
+    failures, and figure-level callers raise instead of averaging over
+    the benchmarks that survived."""
+
+    KB = 1 / 64
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matrix_reports_failures(self, traces, serial_reference, jobs):
+        with faults.inject("evaluate:raise:bench=gcc"):
+            result = evaluate_matrix(SPECS, traces, jobs=jobs)
+        assert result.quarantined_benches == ["gcc"]
+        assert {spec for cell in result.failures for spec in cell.specs} == set(SPECS)
+        for spec in SPECS:
+            assert "gcc" not in result[spec]
+            assert result[spec]["xlisp"] == serial_reference[spec]["xlisp"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_paper_sweep_raises_naming_cells(self, traces, jobs):
+        from repro.analysis.sweep import bimode_spec, paper_sweep
+
+        with faults.inject("evaluate:raise:bench=gcc"):
+            with pytest.raises(RuntimeError, match="quarantined") as excinfo:
+                paper_sweep(traces, kb_points=(self.KB,), cache=None, jobs=jobs)
+        message = str(excinfo.value)
+        assert "gcc x [" in message
+        assert bimode_spec(self.KB) in message
+        assert "FaultInjected" in message
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_best_gshare_raises(self, traces, jobs):
+        from repro.analysis.sweep import best_gshare_at_size
+
+        with faults.inject("evaluate:raise:bench=gcc"):
+            with pytest.raises(RuntimeError, match="gcc x \\[gshare:"):
+                best_gshare_at_size(self.KB, traces, jobs=jobs)
+
+
 class TestKilledWorker:
     def test_hard_killed_worker_reseeds_pool(self, traces, serial_reference):
         # os._exit in the worker → BrokenProcessPool → fresh pool, retry;

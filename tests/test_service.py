@@ -488,23 +488,52 @@ class TestScheduler:
         finally:
             scheduler.stop()
 
-    def test_bad_spec_quarantined_others_survive(self, tmp_path):
+    def test_bad_spec_rejected_at_submit(self, tmp_path):
+        store = JobStore(tmp_path / "svc")
+        scheduler = SweepScheduler(store=store, jobs=1, policy=FAST)
+        bad = "bimode:dir=6,meta=6"  # bimode has no "meta" option
+        try:
+            job = make_job(store, specs=["gshare:index=6,hist=4", bad])
+            with pytest.raises(ValueError, match=r"bimode:dir=6,meta=6"):
+                scheduler.submit(job)
+            assert store.load(job.job_id) is None  # nothing persisted
+            assert scheduler.pending_cells == 0
+        finally:
+            scheduler.stop()
+
+    def test_failing_cells_quarantined_others_survive(self, tmp_path):
         store = JobStore(tmp_path / "svc")
         scheduler = SweepScheduler(store=store, jobs=1,
                                    policy=TaskPolicy(timeout=None, retries=0, backoff=0.0))
-        good = "gshare:index=6,hist=4"
-        bad = "bimode:dir=6,meta=6"  # bimode has no "meta" option
-        try:
-            job = make_job(store, specs=[good, bad])
-            finals = run_jobs(scheduler, [job], timeout=120)
-        finally:
-            scheduler.stop()
+        with faults.inject("evaluate:raise:bench=compress"):
+            try:
+                job = make_job(store, benches=("xlisp", "compress"))
+                finals = run_jobs(scheduler, [job], timeout=120)
+            finally:
+                scheduler.stop()
         final, _ = finals[job.job_id]
         assert final["state"] == FAILED
         assert "quarantined" in final["error"]
-        assert [f["spec"] for f in final["failures"]] == [bad]
-        assert final["results"][good][BENCH] == serial_rates([good])[good]
+        compress_tkey = BenchmarkRef("compress", LENGTH).tkey
+        assert sorted(f["spec"] for f in final["failures"]) == sorted(SPECS)
+        assert {f["tkey"] for f in final["failures"]} == {compress_tkey}
+        ref = serial_rates(SPECS)
+        for spec in SPECS:
+            assert final["results"][spec] == {BENCH: ref[spec]}
         assert any(e.actual == "quarantined" for e in health.events(severity="error"))
+
+    def test_recover_fails_job_whose_specs_no_longer_validate(self, tmp_path):
+        store = JobStore(tmp_path / "svc")
+        job = make_job(store, specs=["bimode:dir=6,meta=6"], job_id="job-stale-1")
+        store.save(job)  # an old manifest: queued, never validated
+        scheduler = SweepScheduler(store=store, jobs=1, policy=FAST)
+        try:
+            assert scheduler.recover() == []
+        finally:
+            scheduler.stop()
+        saved = store.load(job.job_id)
+        assert saved.state == FAILED
+        assert "bimode:dir=6,meta=6" in saved.error
 
     def test_dispatch_fault_retried(self, tmp_path):
         store = JobStore(tmp_path / "svc")
@@ -539,13 +568,14 @@ class TestScheduler:
         assert "serial-salvage" in actuals
 
     def test_pool_unavailable_runs_serial(self, tmp_path, monkeypatch):
-        from repro.service import scheduler as scheduler_module
+        from repro.sim import parallel as executor_module
 
         class NoFork:
             def __init__(self, *args, **kwargs):
                 raise OSError("no fork for you")
 
-        monkeypatch.setattr(scheduler_module, "ProcessPoolExecutor", NoFork)
+        # the one supervisor, shared with one-shot sweeps, owns the pool
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", NoFork)
         store = JobStore(tmp_path / "svc")
         scheduler = SweepScheduler(store=store, jobs=2, policy=FAST)
         try:

@@ -71,6 +71,32 @@ def wait_up(client, proc, log_path, timeout=60):
             time.sleep(0.05)
 
 
+def children(pid):
+    """Pids whose parent is ``pid``, from ``/proc``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        if int(stat[stat.rindex(b")") + 2:].split()[1]) == pid:
+            out.append(int(entry))
+    return out
+
+
+def alive(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(b")") + 2:].split()[0] != b"Z"
+
+
 def union_cells():
     cells = set()
     for spec in SPECS_A + SPECS_B:
@@ -171,12 +197,22 @@ class TestKillNineDrill:
                 assert time.monotonic() < deadline, "no progress before kill window"
                 time.sleep(0.02)
 
+            workers = children(daemon1.pid)
+            assert workers, "the daemon runs its sweep on a worker pool"
             os.kill(daemon1.pid, signal.SIGKILL)
             daemon1.wait(timeout=30)
         finally:
             if daemon1.poll() is None:
                 daemon1.kill()
-        time.sleep(1.5)  # let orphaned pool workers wind down
+        # Orphaned pool workers notice their parent died and exit on
+        # their own, well before the restarted daemon's accounting.
+        deadline = time.monotonic() + 5
+        while any(alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"pool workers outlived the killed daemon: "
+                f"{[pid for pid in workers if alive(pid)]}"
+            )
+            time.sleep(0.05)
 
         union = union_cells()
         recovered = recovered_cells(cache, union)

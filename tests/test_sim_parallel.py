@@ -205,6 +205,35 @@ class TestSerialFallback:
         assert parallel.failures == []
 
 
+class TestWorkerHealthEvents:
+    def test_pool_ships_worker_events_to_parent(self, workload_pair, tmp_path, monkeypatch):
+        """Without a compiler every batched family falls back to the
+        scalar predictors with one ``c -> scalar`` event; a pooled sweep
+        must record the same events in the parent as a serial one."""
+        from repro import faults, health
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def fallbacks(jobs):
+            health.clear()
+            with faults.deny_compiler():
+                evaluate_matrix(SPECS, workload_pair, jobs=jobs)
+            return sorted(
+                (e.component, e.ctx["cells"])
+                for e in health.events()
+                if e.component.endswith("-kernel")
+                and (e.expected, e.actual) == ("c", "scalar")
+            )
+
+        serial = fallbacks(1)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        pooled = fallbacks(None)
+        health.clear()
+        # one event per (trace, family): a gshare pair and a bi-mode single
+        assert serial == sorted([("gshare-kernel", 2), ("bimode-kernel", 1)] * 2)
+        assert pooled == serial
+
+
 class TestTaskPolicy:
     def test_defaults(self, monkeypatch):
         for var in ("REPRO_TASK_TIMEOUT", "REPRO_TASK_RETRIES", "REPRO_TASK_BACKOFF"):
