@@ -42,6 +42,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.common import bench_scale, emit_table, load_bench_suite, results_dir
+from repro import faults
 from repro.analysis.sweep import (
     _candidate_specs,
     bimode_spec,
@@ -142,8 +143,9 @@ def measure_trace_pipeline():
 
     Covers the PR-4 acceptance rows:
 
-    * per-benchmark scalar vs fastgen generation wall-clock, traces
-      asserted bit-identical;
+    * per-benchmark generation wall-clock, ``Program.run`` (the
+      no-compiler path, taken under ``faults.deny_compiler``) vs
+      fastgen, traces asserted bit-identical;
     * the cold Figure-3 *trace-pipeline* portion — everything before the
       first simulated branch (generate + persist + load all CINT95
       traces) — old path (scalar gen + compressed ``.npz``) at scale
@@ -168,8 +170,7 @@ def measure_trace_pipeline():
 
     # Warm the code paths once (C driver compile, numpy imports) so the
     # timings below measure the pipeline, not one-time process setup.
-    with _env(REPRO_TRACEGEN="fast"):
-        generate_trace(get_profile(names[0]), length=20_000, seed=987)
+    generate_trace(get_profile(names[0]), length=20_000, seed=987)
 
     # -- generation: scalar vs fastgen, bit-identity asserted ---------------
     # Program construction and the fastgen plan are one-time per-process
@@ -179,16 +180,14 @@ def measure_trace_pipeline():
     for name in names:
         length = _scaled_length(name, new_scale)
         profile = get_profile(name)
-        with _env(REPRO_TRACEGEN="fast"):
-            generate_trace(profile, length=20_000, seed=0)
-        with _env(REPRO_TRACEGEN="scalar"):
+        generate_trace(profile, length=20_000, seed=0)
+        with faults.deny_compiler():
             t0 = time.perf_counter()
             slow = generate_trace(profile, length=length, seed=0)
             scalar_s = time.perf_counter() - t0
-        with _env(REPRO_TRACEGEN="fast"):
-            t0 = time.perf_counter()
-            fast = generate_trace(profile, length=length, seed=0)
-            fast_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        fast = generate_trace(profile, length=length, seed=0)
+        fast_s = time.perf_counter() - t0
         identical = bool(
             np.array_equal(slow.pcs, fast.pcs)
             and np.array_equal(slow.outcomes, fast.outcomes)
@@ -215,7 +214,7 @@ def measure_trace_pipeline():
     with tempfile.TemporaryDirectory() as tmp:
         npz_dir = Path(tmp)
         _fresh_programs()
-        with _env(REPRO_TRACEGEN="scalar"):
+        with faults.deny_compiler():
             t0 = time.perf_counter()
             for name in names:
                 length = _scaled_length(name, old_scale)
@@ -236,26 +235,24 @@ def measure_trace_pipeline():
         # pipeline at the *same* lengths must publish identical bytes.
         cross_store = TraceStore(npz_dir / "cross-check-store")
         _fresh_programs()
-        with _env(REPRO_TRACEGEN="fast"):
-            for name in names:
-                length = _scaled_length(name, old_scale)
-                mapped = cross_store.materialize(name, length, 0)
-                reference = load_npz(npz_dir / f"{name}.npz")
-                if not (
-                    np.array_equal(mapped.pcs, reference.pcs)
-                    and np.array_equal(mapped.outcomes, reference.outcomes)
-                ):
-                    mismatches += 1
-                    print(f"MISMATCH store pipeline vs npz pipeline on {name}")
+        for name in names:
+            length = _scaled_length(name, old_scale)
+            mapped = cross_store.materialize(name, length, 0)
+            reference = load_npz(npz_dir / f"{name}.npz")
+            if not (
+                np.array_equal(mapped.pcs, reference.pcs)
+                and np.array_equal(mapped.outcomes, reference.outcomes)
+            ):
+                mismatches += 1
+                print(f"MISMATCH store pipeline vs npz pipeline on {name}")
 
     with tempfile.TemporaryDirectory() as tmp:
         store = TraceStore(tmp)
         _fresh_programs()
-        with _env(REPRO_TRACEGEN="fast"):
-            t0 = time.perf_counter()
-            for name in names:
-                store.materialize(name, _scaled_length(name, new_scale), 0)
-            new_cold_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for name in names:
+            store.materialize(name, _scaled_length(name, new_scale), 0)
+        new_cold_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         for name in names:

@@ -25,7 +25,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.grouping import stable_group_order
 from repro.core.interfaces import DetailedSimulation
 
 __all__ = [
@@ -130,6 +129,36 @@ class SubstreamAnalysis:
         return self.stream_role()[self.access_stream]
 
 
+_reference_reported = False
+
+
+def _reductions():
+    """The compiled Section-4 reductions (:mod:`repro.sim._cstep`), or
+    ``None`` without a compiler.
+
+    Callers then run the :mod:`repro.analysis.reference` formulations,
+    bit-identical by the equivalence suite; the first such fallback in a
+    process records one degraded :mod:`repro.health` event.
+    """
+    global _reference_reported
+    from repro.sim import _cstep
+
+    if _cstep.available():
+        return _cstep
+    if not _reference_reported:
+        from repro import health
+
+        _reference_reported = True
+        health.emit(
+            "section4-reduction",
+            "c",
+            "reference",
+            reason=_cstep.unavailable_reason() or "",
+            severity="degraded",
+        )
+    return None
+
+
 def pc_code_stream(pcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(unique_pcs, dense_codes)`` of a PC stream.
 
@@ -150,32 +179,26 @@ def analyze_substreams(
 ) -> SubstreamAnalysis:
     """Decompose a detailed simulation into classified substreams.
 
-    Substream grouping runs in O(n) — a two-pass stable counting sort
-    by (PC, counter) replaces the sort-based ``np.unique`` over
-    composite keys — and is asserted bit-identical to the reference
-    formulation (:mod:`repro.analysis.reference`) by the equivalence
-    suite.  ``pc_codes`` (from :func:`pc_code_stream`) skips the
-    per-trace PC dictionary pass when the caller sweeps one trace.
+    Substream grouping and the per-stream counts come from one compiled
+    pass (a two-pass stable counting sort by (PC, counter), see
+    :func:`repro.sim._cstep.substream_group`); without a compiler the
+    ``np.unique`` formulation of :mod:`repro.analysis.reference` runs
+    instead.  The equivalence suite asserts the two bit-identical.
+    ``pc_codes`` (from :func:`pc_code_stream`) skips the per-trace PC
+    dictionary pass when the caller sweeps one trace.
     """
     if detailed.pcs is None:
         raise ValueError("detailed simulation lacks per-access PCs")
     if not 0.5 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0.5, 1.0], got {threshold}")
     counter_ids = detailed.counter_ids
-    outcomes = detailed.result.outcomes
-    mispredicted = detailed.result.mispredicted
     num_counters = detailed.num_counters
-
-    if pc_codes is None:
-        pc_codes = pc_code_stream(detailed.pcs)
-    unique_pcs, pc_dense = pc_codes
-    num_pcs = len(unique_pcs)
     n = len(counter_ids)
 
     if n == 0:
         return SubstreamAnalysis(
             stream_counter=np.empty(0, dtype=np.int64),
-            stream_pc=unique_pcs[:0],
+            stream_pc=np.asarray(detailed.pcs)[:0],
             stream_total=np.empty(0, dtype=np.int64),
             stream_taken=np.empty(0, dtype=np.int64),
             stream_mispredicted=np.empty(0, dtype=np.int64),
@@ -184,61 +207,35 @@ def analyze_substreams(
             counter_dominant=np.full(num_counters, -1, dtype=np.int8),
             num_counters=num_counters,
         )
+    driver = _reductions()
+    if driver is None:
+        from repro.analysis.reference import analyze_substreams_reference
 
-    # Stable radix grouping by (counter, pc): sort by the minor key
-    # first, then stably by the major one.  Segment boundaries in the
-    # resulting order delimit the substreams in ascending (counter, pc)
-    # order — exactly the ordering np.unique over composite keys yields.
-    # The compiled driver fuses the grouping and the per-stream
-    # reduction into one pass; the numpy formulation below is the
-    # bit-identical fallback (REPRO_NO_CC=1 or no compiler).
-    cid32 = np.ascontiguousarray(counter_ids, dtype=np.int32)
-    from repro.sim import _cstep
+        return analyze_substreams_reference(detailed, threshold=threshold)
 
-    if _cstep.available():
-        (
-            access_stream,
-            stream_counter32,
-            stream_pc_idx,
-            stream_total,
-            stream_taken,
-            stream_mispredicted,
-        ) = _cstep.substream_group(
-            cid32,
-            pc_dense,
-            np.ascontiguousarray(outcomes, dtype=np.uint8),
-            np.ascontiguousarray(mispredicted, dtype=np.uint8),
-            num_counters,
-            num_pcs,
-        )
-        stream_counter = stream_counter32.astype(np.int64)
-        stream_pc = unique_pcs[stream_pc_idx]
-        num_streams = len(stream_counter)
-    else:
-        by_pc = stable_group_order(pc_dense, num_pcs)
-        order = by_pc[stable_group_order(cid32[by_pc], num_counters)]
-        sorted_counter = cid32[order]
-        sorted_pc = pc_dense[order]
-
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_counter[1:], sorted_counter[:-1], out=first[1:])
-        first[1:] |= sorted_pc[1:] != sorted_pc[:-1]
-        starts = np.flatnonzero(first)
-        num_streams = len(starts)
-
-        access_stream = np.empty(n, dtype=np.int64)
-        access_stream[order] = np.cumsum(first) - 1
-
-        stream_counter = sorted_counter[starts].astype(np.int64)
-        stream_pc = unique_pcs[sorted_pc[starts]]
-        stream_total = np.empty(num_streams, dtype=np.int64)
-        stream_total[:-1] = np.diff(starts)
-        stream_total[-1] = n - starts[-1]
-        stream_taken = np.add.reduceat(outcomes[order], starts, dtype=np.int64)
-        stream_mispredicted = np.add.reduceat(
-            mispredicted[order], starts, dtype=np.int64
-        )
+    if pc_codes is None:
+        pc_codes = pc_code_stream(detailed.pcs)
+    unique_pcs, pc_dense = pc_codes
+    # Substreams come back numbered in ascending (counter, pc) order —
+    # exactly the ordering np.unique over composite keys yields.
+    (
+        access_stream,
+        stream_counter32,
+        stream_pc_idx,
+        stream_total,
+        stream_taken,
+        stream_mispredicted,
+    ) = driver.substream_group(
+        np.ascontiguousarray(counter_ids, dtype=np.int32),
+        pc_dense,
+        np.ascontiguousarray(detailed.result.outcomes, dtype=np.uint8),
+        np.ascontiguousarray(detailed.result.mispredicted, dtype=np.uint8),
+        num_counters,
+        len(unique_pcs),
+    )
+    stream_counter = stream_counter32.astype(np.int64)
+    stream_pc = unique_pcs[stream_pc_idx]
+    num_streams = len(stream_counter)
 
     rates = stream_taken / stream_total
     stream_class = np.full(num_streams, WB, dtype=np.int8)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.bias import SubstreamAnalysis
-from repro.core.grouping import stable_group_order
+from repro.analysis.bias import SubstreamAnalysis, _reductions
 from repro.core.interfaces import DetailedSimulation
 
 __all__ = ["ClassChangeCounts", "count_class_changes"]
@@ -54,7 +53,9 @@ def count_class_changes(
     """Count role changes between consecutive accesses to each counter.
 
     ``analysis`` must come from the same ``detailed`` simulation (the
-    per-access stream mapping is reused).
+    per-access stream mapping is reused).  Runs one compiled pass
+    (:func:`repro.sim._cstep.class_changes`), or the ``np.lexsort``
+    formulation of :mod:`repro.analysis.reference` without a compiler.
     """
     n = detailed.result.num_branches
     if n != len(analysis.access_stream):
@@ -62,32 +63,19 @@ def count_class_changes(
     if n < 2:
         return ClassChangeCounts(dominant=0, non_dominant=0, wb=0)
 
-    counter_ids = np.ascontiguousarray(detailed.counter_ids, dtype=np.int32)
-    from repro.sim import _cstep
+    driver = _reductions()
+    if driver is None:
+        from repro.analysis.reference import count_class_changes_reference
 
-    if _cstep.available():
-        # single time-ordered pass with a per-counter last-role array —
-        # no sort at all; attributing each change to the earlier
-        # access's role exactly as the grouped formulation does
-        counts = _cstep.class_changes(
-            counter_ids,
-            np.ascontiguousarray(analysis.access_stream, dtype=np.int64),
-            np.ascontiguousarray(analysis.stream_role(), dtype=np.int8),
-            analysis.num_counters,
-        )
-    else:
-        roles = analysis.access_role()
-        # group accesses by counter, keeping time order within each
-        # group; the stable counting sort is the same permutation
-        # np.lexsort over (time, counter) produces, at O(n) instead of
-        # O(n log n)
-        order = stable_group_order(counter_ids, analysis.num_counters)
-        sorted_counters = counter_ids[order]
-        sorted_roles = roles[order]
-        same_counter = sorted_counters[1:] == sorted_counters[:-1]
-        role_change = sorted_roles[1:] != sorted_roles[:-1]
-        interrupted = sorted_roles[:-1][same_counter & role_change]
-        counts = np.bincount(interrupted, minlength=3)
+        return count_class_changes_reference(detailed, analysis)
+    # one time-ordered pass with a per-counter last-role array, each
+    # change attributed to the earlier access's role
+    counts = driver.class_changes(
+        np.ascontiguousarray(detailed.counter_ids, dtype=np.int32),
+        np.ascontiguousarray(analysis.access_stream, dtype=np.int64),
+        np.ascontiguousarray(analysis.stream_role(), dtype=np.int8),
+        analysis.num_counters,
+    )
     return ClassChangeCounts(
         dominant=int(counts[0]), non_dominant=int(counts[1]), wb=int(counts[2])
     )

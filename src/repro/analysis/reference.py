@@ -2,13 +2,18 @@
 
 The production analysis path (:mod:`repro.analysis.bias`,
 :mod:`repro.analysis.interference`, :mod:`repro.analysis.aliasing`)
-groups accesses into substreams with O(n) stable counting sorts
-(:mod:`repro.core.grouping`).  This module keeps the original
+groups accesses into substreams with compiled counting-sort reductions
+(:mod:`repro.sim._cstep`).  This module keeps the original
 ``np.unique`` / ``np.lexsort`` formulations — one obviously-correct
-transcription of the paper's definitions per aggregate — for two jobs:
+transcription of the paper's definitions per aggregate — for three jobs:
 
+* **no-compiler fallback**: without a C compiler (or under
+  ``REPRO_NO_CC=1``) :func:`repro.analysis.bias.analyze_substreams` and
+  :func:`repro.analysis.interference.count_class_changes` run
+  :func:`analyze_substreams_reference` and
+  :func:`count_class_changes_reference`;
 * **differential oracle**: the equivalence tests and
-  :mod:`repro.verify` assert the optimized paths reproduce these
+  :mod:`repro.verify` assert the compiled paths reproduce these
   bit-for-bit on every golden trace;
 * **timing baseline**: ``benchmarks/measure_sweep_speedup.py`` measures
   the detailed-kernel pipeline against ``scalar simulation + reference

@@ -4,36 +4,26 @@ Every predictor automaton here is ~10 integer operations per branch —
 the fused gshare and bi-mode family passes, the per-lane loops of the
 other schemes (:mod:`repro.sim.lanes`), and the Section-4 reductions —
 so a tiny C loop runs it one to two orders of magnitude faster than any
-Python-level stepping.  This module compiles those loops on first use with the
-*system* C compiler — no build system, no installed extension, no new
-dependency — and loads them through :mod:`ctypes`.
+Python-level stepping.  :mod:`repro._cc` compiles this module's C source
+on first use with the *system* C compiler and loads it through
+:mod:`ctypes`; the shared object is cached under ``<cache>/ckernel``.
 
-The driver is strictly optional:
-
-* the shared object is built once into the repro cache directory
-  (keyed by a hash of the C source, so edits rebuild automatically);
-* any failure — no compiler on PATH, sandboxed ``cc``, unloadable
-  object — is remembered and reported via :func:`available`, and the
-  kernel registry (:mod:`repro.sim.kernels`) runs the scalar predictors
-  instead, with bit-identical results (the Section-4 reductions fall
-  back to their numpy formulations);
-* ``REPRO_NO_CC=1`` disables the driver outright (used by tests to run
-  the no-compiler platform, and as an escape hatch on platforms where
-  invoking the compiler is unwanted).
+The driver is strictly optional.  When it is unavailable — no compiler
+on PATH, a failed build, ``REPRO_NO_CC=1`` — :func:`available` says so,
+:func:`unavailable_reason` says why, the kernel registry
+(:mod:`repro.sim.kernels`) runs the scalar predictors instead and the
+Section-4 analysis runs :mod:`repro.analysis.reference`, both with
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from repro import _cc
 
 __all__ = [
     "available",
@@ -48,6 +38,7 @@ __all__ = [
     "yags_lane",
     "perceptron_lane",
     "biasfilter_lane",
+    "stable_group_order",
     "substream_group",
     "class_changes",
 ]
@@ -413,6 +404,19 @@ void biasfilter_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
     }
 }
 
+/* Stable counting sort: `order` receives 0..n-1 grouped by key (keys in
+ * [0, K)), in time order within each key -- np.argsort(kind="stable")
+ * in O(n + K).  `bucket` holds K + 1 slots. */
+void group_order(const int32_t *key, int64_t n, int32_t K,
+                 int32_t *bucket, int32_t *order)
+{
+    int64_t t;
+    for (t = 0; t <= K; t++) bucket[t] = 0;
+    for (t = 0; t < n; t++) bucket[key[t] + 1]++;
+    for (t = 0; t < K; t++) bucket[t + 1] += bucket[t];
+    for (t = 0; t < n; t++) order[bucket[key[t]]++] = (int32_t)t;
+}
+
 /* Substream grouping + reduction for the Section-4 analysis: a stable
  * two-pass counting sort of accesses by (counter, pc) followed by one
  * walk that numbers the substreams in ascending (counter, pc) order —
@@ -432,10 +436,7 @@ int64_t substream_group(const int32_t *cid, const int32_t *pc,
 {
     int64_t t, i;
     /* pass 1: stable counting sort by pc (minor key) */
-    for (i = 0; i <= P; i++) bucket[i] = 0;
-    for (t = 0; t < n; t++) bucket[pc[t] + 1]++;
-    for (i = 0; i < P; i++) bucket[i + 1] += bucket[i];
-    for (t = 0; t < n; t++) tmp[bucket[pc[t]]++] = (int32_t)t;
+    group_order(pc, n, P, bucket, tmp);
     /* pass 2: stable counting sort by counter (major key) */
     for (i = 0; i <= C; i++) bucket[i] = 0;
     for (t = 0; t < n; t++) bucket[cid[t] + 1]++;
@@ -487,214 +488,162 @@ void class_changes(const int32_t *cid, const int64_t *access_stream,
 }
 """
 
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_failure: Optional[str] = None
 
-
-def _source_digest() -> str:
-    return hashlib.sha1(_C_SOURCE.encode()).hexdigest()[:16]
-
-
-def _build_dir() -> Path:
-    from repro.workloads.suite import default_cache_dir
-
-    return default_cache_dir() / "ckernel"
-
-
-def _compile(so_path: Path) -> bool:
-    """Build the shared object atomically; False on any failure."""
-    compiler = next(
-        (c for c in ("cc", "gcc", "clang") if shutil.which(c)), None
-    )
-    if compiler is None:
-        return False
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    src = so_path.with_suffix(".c")
-    src.write_text(_C_SOURCE)
-    with tempfile.NamedTemporaryFile(
-        dir=so_path.parent, suffix=".so.tmp", delete=False
-    ) as tmp:
-        tmp_path = Path(tmp.name)
-    try:
-        proc = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp_path), str(src)],
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            return False
-        os.replace(tmp_path, so_path)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        tmp_path.unlink(missing_ok=True)
+def _prepare(lib: ctypes.CDLL) -> None:
+    """Declare the ctypes signature of every exported loop."""
+    lib.bimode_pair.argtypes = [
+        ctypes.c_void_p,  # ci
+        ctypes.c_void_p,  # di
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # not-taken bank
+        ctypes.c_void_p,  # taken bank
+        ctypes.c_void_p,  # choice table
+        ctypes.c_int,  # full_update
+        ctypes.c_void_p,  # predictions out
+        ctypes.c_void_p,  # selected-bank bits out (nullable)
+    ]
+    lib.bimode_pair.restype = None
+    lib.gshare_detailed.argtypes = [
+        ctypes.c_void_p,  # keys (index stream)
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # PHT
+        ctypes.c_void_p,  # predictions out
+    ]
+    lib.gshare_detailed.restype = None
+    lib.gshare_fused.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # num_lanes
+        ctypes.c_void_p,  # imask
+        ctypes.c_void_p,  # hmask
+        ctypes.c_void_p,  # base
+        ctypes.c_void_p,  # tables arena
+        ctypes.c_void_p,  # miss out
+    ]
+    lib.gshare_fused.restype = None
+    lib.bimode_fused.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # num_lanes
+        ctypes.c_void_p,  # dmask
+        ctypes.c_void_p,  # dhmask
+        ctypes.c_void_p,  # cmask
+        ctypes.c_void_p,  # chmask
+        ctypes.c_void_p,  # full_update
+        ctypes.c_void_p,  # nt_base
+        ctypes.c_void_p,  # tk_base
+        ctypes.c_void_p,  # choice_base
+        ctypes.c_void_p,  # tables arena
+        ctypes.c_void_p,  # miss out
+    ]
+    lib.bimode_fused.restype = None
+    lib.counter_lane.argtypes = [
+        ctypes.c_void_p,  # keys
+        ctypes.c_void_p,  # deltas
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # table
+        ctypes.c_int8,  # max_state
+        ctypes.c_void_p,  # observed states out
+    ]
+    lib.counter_lane.restype = None
+    lib.gskew_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # bank_bits
+        ctypes.c_int64,  # hmask
+        ctypes.c_int,  # enhanced
+        ctypes.c_void_p,  # bank 0
+        ctypes.c_void_p,  # bank 1
+        ctypes.c_void_p,  # bank 2
+        ctypes.c_void_p,  # predictions out
+        ctypes.c_void_p,  # counter ids out (nullable)
+    ]
+    lib.gskew_lane.restype = None
+    lib.trimode_lane.argtypes = [
+        ctypes.c_void_p,  # ci
+        ctypes.c_void_p,  # di
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # bank_size
+        ctypes.c_void_p,  # not-taken bank
+        ctypes.c_void_p,  # taken bank
+        ctypes.c_void_p,  # weak bank
+        ctypes.c_void_p,  # choice table
+        ctypes.c_void_p,  # predictions out
+        ctypes.c_void_p,  # counter ids out (nullable)
+    ]
+    lib.trimode_lane.restype = None
+    lib.yags_lane.argtypes = [
+        ctypes.c_void_p,  # ci (choice index)
+        ctypes.c_void_p,  # ki (cache index)
+        ctypes.c_void_p,  # tg (partial tags)
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # choice_size
+        ctypes.c_int64,  # cache_size
+        ctypes.c_void_p,  # choice table
+        ctypes.c_void_p,  # taken-cache tags
+        ctypes.c_void_p,  # taken-cache counters
+        ctypes.c_void_p,  # not-taken-cache tags
+        ctypes.c_void_p,  # not-taken-cache counters
+        ctypes.c_void_p,  # predictions out
+        ctypes.c_void_p,  # counter ids out (nullable)
+    ]
+    lib.yags_lane.restype = None
+    lib.perceptron_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # pc_mask
+        ctypes.c_int64,  # hist_bits
+        ctypes.c_int64,  # theta
+        ctypes.c_int64,  # w_min
+        ctypes.c_int64,  # w_max
+        ctypes.c_void_p,  # weight arena
+        ctypes.c_void_p,  # predictions out
+    ]
+    lib.perceptron_lane.restype = None
+    lib.biasfilter_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # fmask
+        ctypes.c_int64,  # max_run
+        ctypes.c_int64,  # sub_imask
+        ctypes.c_int64,  # sub_hmask
+        ctypes.c_void_p,  # filter direction bits
+        ctypes.c_void_p,  # filter run counters
+        ctypes.c_void_p,  # sub-predictor counter table
+        ctypes.c_void_p,  # predictions out
+    ]
+    lib.biasfilter_lane.restype = None
+    lib.group_order.argtypes = [
+        ctypes.c_void_p,  # keys
+        ctypes.c_int64,  # n
+        ctypes.c_int32,  # number of buckets
+        ctypes.c_void_p,  # bucket scratch
+        ctypes.c_void_p,  # order out
+    ]
+    lib.group_order.restype = None
+    lib.substream_group.argtypes = [ctypes.c_void_p] * 4 + [
+        ctypes.c_int64,
+        ctypes.c_int32,
+        ctypes.c_int32,
+    ] + [ctypes.c_void_p] * 9
+    lib.substream_group.restype = ctypes.c_int64
+    lib.class_changes.argtypes = [ctypes.c_void_p] * 3 + [
+        ctypes.c_int64
+    ] + [ctypes.c_void_p] * 2
+    lib.class_changes.restype = None
 
 
 def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted, _failure
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return None
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        so_path = _build_dir() / f"step-{_source_digest()}.so"
-        if not so_path.exists() and not _compile(so_path):
-            _failure = (
-                "no C compiler on PATH"
-                if not any(shutil.which(c) for c in ("cc", "gcc", "clang"))
-                else "compiler invocation failed"
-            )
-            return None
-        lib = ctypes.CDLL(str(so_path))
-        lib.bimode_pair.argtypes = [
-            ctypes.c_void_p,  # ci
-            ctypes.c_void_p,  # di
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # not-taken bank
-            ctypes.c_void_p,  # taken bank
-            ctypes.c_void_p,  # choice table
-            ctypes.c_int,  # full_update
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # selected-bank bits out (nullable)
-        ]
-        lib.bimode_pair.restype = None
-        lib.gshare_detailed.argtypes = [
-            ctypes.c_void_p,  # keys (index stream)
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # PHT
-            ctypes.c_void_p,  # predictions out
-        ]
-        lib.gshare_detailed.restype = None
-        lib.gshare_fused.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # num_lanes
-            ctypes.c_void_p,  # imask
-            ctypes.c_void_p,  # hmask
-            ctypes.c_void_p,  # base
-            ctypes.c_void_p,  # tables arena
-            ctypes.c_void_p,  # miss out
-        ]
-        lib.gshare_fused.restype = None
-        lib.bimode_fused.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # num_lanes
-            ctypes.c_void_p,  # dmask
-            ctypes.c_void_p,  # dhmask
-            ctypes.c_void_p,  # cmask
-            ctypes.c_void_p,  # chmask
-            ctypes.c_void_p,  # full_update
-            ctypes.c_void_p,  # nt_base
-            ctypes.c_void_p,  # tk_base
-            ctypes.c_void_p,  # choice_base
-            ctypes.c_void_p,  # tables arena
-            ctypes.c_void_p,  # miss out
-        ]
-        lib.bimode_fused.restype = None
-        lib.counter_lane.argtypes = [
-            ctypes.c_void_p,  # keys
-            ctypes.c_void_p,  # deltas
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # table
-            ctypes.c_int8,  # max_state
-            ctypes.c_void_p,  # observed states out
-        ]
-        lib.counter_lane.restype = None
-        lib.gskew_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # bank_bits
-            ctypes.c_int64,  # hmask
-            ctypes.c_int,  # enhanced
-            ctypes.c_void_p,  # bank 0
-            ctypes.c_void_p,  # bank 1
-            ctypes.c_void_p,  # bank 2
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # counter ids out (nullable)
-        ]
-        lib.gskew_lane.restype = None
-        lib.trimode_lane.argtypes = [
-            ctypes.c_void_p,  # ci
-            ctypes.c_void_p,  # di
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # bank_size
-            ctypes.c_void_p,  # not-taken bank
-            ctypes.c_void_p,  # taken bank
-            ctypes.c_void_p,  # weak bank
-            ctypes.c_void_p,  # choice table
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # counter ids out (nullable)
-        ]
-        lib.trimode_lane.restype = None
-        lib.yags_lane.argtypes = [
-            ctypes.c_void_p,  # ci (choice index)
-            ctypes.c_void_p,  # ki (cache index)
-            ctypes.c_void_p,  # tg (partial tags)
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # choice_size
-            ctypes.c_int64,  # cache_size
-            ctypes.c_void_p,  # choice table
-            ctypes.c_void_p,  # taken-cache tags
-            ctypes.c_void_p,  # taken-cache counters
-            ctypes.c_void_p,  # not-taken-cache tags
-            ctypes.c_void_p,  # not-taken-cache counters
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # counter ids out (nullable)
-        ]
-        lib.yags_lane.restype = None
-        lib.perceptron_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # pc_mask
-            ctypes.c_int64,  # hist_bits
-            ctypes.c_int64,  # theta
-            ctypes.c_int64,  # w_min
-            ctypes.c_int64,  # w_max
-            ctypes.c_void_p,  # weight arena
-            ctypes.c_void_p,  # predictions out
-        ]
-        lib.perceptron_lane.restype = None
-        lib.biasfilter_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # fmask
-            ctypes.c_int64,  # max_run
-            ctypes.c_int64,  # sub_imask
-            ctypes.c_int64,  # sub_hmask
-            ctypes.c_void_p,  # filter direction bits
-            ctypes.c_void_p,  # filter run counters
-            ctypes.c_void_p,  # sub-predictor counter table
-            ctypes.c_void_p,  # predictions out
-        ]
-        lib.biasfilter_lane.restype = None
-        lib.substream_group.argtypes = [ctypes.c_void_p] * 4 + [
-            ctypes.c_int64,
-            ctypes.c_int32,
-            ctypes.c_int32,
-        ] + [ctypes.c_void_p] * 9
-        lib.substream_group.restype = ctypes.c_int64
-        lib.class_changes.argtypes = [ctypes.c_void_p] * 3 + [
-            ctypes.c_int64
-        ] + [ctypes.c_void_p] * 2
-        lib.class_changes.restype = None
-        _lib = lib
-    except OSError as exc:
-        _failure = f"shared object failed to load: {exc}"
-        _lib = None
-    return _lib
+    return _cc.load("step", _C_SOURCE, _prepare)
 
 
 def available() -> bool:
@@ -707,13 +656,10 @@ def unavailable_reason() -> Optional[str]:
 
     Feeds the degradation events of the kernel dispatch chain
     (:mod:`repro.health`): a sweep report can then state *why* cells
-    fell back from the compiled loop to numpy/Python stepping.
+    fell back from the compiled loops to the scalar predictors.
     """
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return "REPRO_NO_CC is set"
-    if _load() is not None:
-        return None
-    return _failure or "compiled driver unavailable"
+    _load()
+    return _cc.unavailable_reason("step")
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -1181,6 +1127,27 @@ def biasfilter_lane(
         _ptr(preds),
     )
     return preds
+
+
+def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Permutation grouping ``keys`` by value, stable in time.
+
+    ``keys`` holds integers in ``[0, num_buckets)``.  Equal to
+    ``np.argsort(keys, kind="stable")`` (as int32), but a counting sort:
+    O(n + num_buckets).  Call only when :func:`available`.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers gate on available()
+        raise RuntimeError("compiled grouping driver is not available")
+    n = len(keys)
+    assert n < 2**31 and num_buckets < 2**31
+    keys = np.ascontiguousarray(keys, dtype=np.int32)
+    bucket = np.empty(num_buckets + 1, dtype=np.int32)
+    order = np.empty(n, dtype=np.int32)
+    lib.group_order(
+        _ptr(keys), ctypes.c_int64(n), ctypes.c_int32(num_buckets), _ptr(bucket), _ptr(order)
+    )
+    return order
 
 
 def substream_group(

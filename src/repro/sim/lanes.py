@@ -34,7 +34,8 @@ Scheme-specific notes
 **Per-address histories (PAx).**  The branch-history table evolves from
 outcomes only, so each register's contents are a pure function of the
 earlier occurrences of the PCs mapping to it.  The kernel groups
-accesses by BHT slot with the stable counting sort and assembles each
+accesses by BHT slot with the compiled stable counting sort
+(:func:`repro.sim._cstep.stable_group_order`) and assembles each
 access's history word from the previous ``hist_bits`` outcomes *within
 its group* — fully vectorized, one pass per history bit.
 
@@ -80,7 +81,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
-from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import concat_index_stream, gshare_index_stream, mask
 from repro.core.registry import parse_spec
@@ -506,7 +506,7 @@ def per_address_histories(
     if n == 0 or hist_bits == 0:
         return hist
     slots = (pcs & mask(bht_bits)).astype(np.int32)
-    order = stable_group_order(slots, 1 << bht_bits)
+    order = _cstep.stable_group_order(slots, 1 << bht_bits)
     grouped_slots = slots[order]
     grouped_out = outcomes[order].astype(np.int64)
 
@@ -845,7 +845,7 @@ def _biasfilter_classify(
     """
     n = len(pcs)
     slots = (pcs & mask(lane.filter_bits)).astype(np.int32)
-    order = stable_group_order(slots, 1 << lane.filter_bits)
+    order = _cstep.stable_group_order(slots, 1 << lane.filter_bits)
     g_slot = slots[order]
     g_out = outcomes[order]
 

@@ -1,16 +1,14 @@
-"""Optional compiled driver for the trace-generation event pass.
+"""Compiled driver for the trace-generation event pass.
 
 :mod:`repro.workloads.fastgen` reduces trace generation to a sparse
 event replay (phase-boundary draws, loop draws, jump checks) plus numpy
 assembly.  The replay is inherently sequential — every draw comes from
-one shared Mersenne-Twister stream — so its cost is pure Python
-interpreter overhead, ~1 µs per event.  This module compiles that loop
-with the system C compiler, exactly like :mod:`repro.sim._cstep` does
-for the bi-mode automaton: no build system, no new dependency, shared
-object cached under the repro cache directory and loaded via ctypes.
+one shared Mersenne-Twister stream — so it runs here, in C, built and
+loaded by :mod:`repro._cc` like the predictor kernels of
+:mod:`repro.sim._cstep`.  The module also holds the in-order sweep that
+resolves correlated sites (:func:`corr_sweep`).
 
-Bit-identity with the Python replay (and therefore with
-``Program.run``) rests on three pillars:
+Bit-identity with ``Program.run`` rests on three pillars:
 
 * the Mersenne-Twister state is handed over from
   ``random.Random.getstate()`` — seeding semantics never leave CPython;
@@ -22,27 +20,23 @@ Bit-identity with the Python replay (and therefore with
   libm;
 * a load-time self-test draws doubles, randints and expovariate run
   lengths from both implementations and refuses the driver on any
-  mismatch, so a platform where the replication does not hold silently
-  degrades to the pure-Python replay instead of corrupting traces.
+  mismatch, so a platform where the replication does not hold runs
+  ``Program.run`` instead of corrupting traces.
 
-``REPRO_NO_CC=1`` disables the driver (tests use it to pin the Python
-path); any compile/load failure is remembered and surfaced through
-:func:`unavailable_reason` for the health report.
+Without the driver (no compiler, ``REPRO_NO_CC=1``, a failed self-test)
+:func:`repro.workloads.generator.generate_trace` runs ``Program.run`` and
+reports :func:`unavailable_reason` in its health event.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from random import Random
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro import _cc
 
 __all__ = [
     "available",
@@ -308,57 +302,6 @@ void corr_sweep(const int64_t *part, const uint8_t *flip,
 }
 """
 
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_failure: Optional[str] = None
-
-
-def _source_digest() -> str:
-    return hashlib.sha1(_C_SOURCE.encode()).hexdigest()[:16]
-
-
-def _build_dir() -> Path:
-    from repro.workloads.suite import default_cache_dir
-
-    return default_cache_dir() / "ckernel"
-
-
-def _compile(so_path: Path) -> bool:
-    """Build the shared object atomically; False on any failure."""
-    compiler = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
-    if compiler is None:
-        return False
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    src = so_path.with_suffix(".c")
-    src.write_text(_C_SOURCE)
-    with tempfile.NamedTemporaryFile(
-        dir=so_path.parent, suffix=".so.tmp", delete=False
-    ) as tmp:
-        tmp_path = Path(tmp.name)
-    try:
-        proc = subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-shared",
-                "-fPIC",
-                "-o",
-                str(tmp_path),
-                str(src),
-                "-lm",
-            ],
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            return False
-        os.replace(tmp_path, so_path)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        tmp_path.unlink(missing_ok=True)
-
 
 def _mt_state(rng: Random) -> Tuple[np.ndarray, int]:
     """Extract (624 MT words, cursor) from a ``random.Random``."""
@@ -392,35 +335,17 @@ def _selftest(lib: ctypes.CDLL) -> bool:
     return all(outr[i] == round(rng.expovariate(lambd)) for i in range(nrv))
 
 
+def _prepare(lib: ctypes.CDLL) -> Optional[str]:
+    lib.fastgen_events.restype = ctypes.c_int64
+    lib.corr_sweep.restype = None
+    lib.mt_selftest.restype = None
+    if not _selftest(lib):  # pragma: no cover - platform-dependent
+        return "MT19937 replication self-test failed"
+    return None
+
+
 def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted, _failure
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return None
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        so_path = _build_dir() / f"fastgen-{_source_digest()}.so"
-        if not so_path.exists() and not _compile(so_path):
-            _failure = (
-                "no C compiler on PATH"
-                if not any(shutil.which(c) for c in ("cc", "gcc", "clang"))
-                else "compiler invocation failed"
-            )
-            return None
-        lib = ctypes.CDLL(str(so_path))
-        lib.fastgen_events.restype = ctypes.c_int64
-        lib.corr_sweep.restype = None
-        lib.mt_selftest.restype = None
-        if not _selftest(lib):  # pragma: no cover - platform-dependent
-            _failure = "MT19937 replication self-test failed"
-            _lib = None
-            return None
-        _lib = lib
-    except OSError as exc:  # pragma: no cover - environment-dependent
-        _failure = f"shared object failed to load: {exc}"
-        _lib = None
-    return _lib
+    return _cc.load("fastgen", _C_SOURCE, _prepare)
 
 
 def available() -> bool:
@@ -430,11 +355,8 @@ def available() -> bool:
 
 def unavailable_reason() -> Optional[str]:
     """Why the compiled driver cannot run, or ``None`` if it can."""
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return "REPRO_NO_CC is set"
-    if _load() is not None:
-        return None
-    return _failure or "compiled driver unavailable"
+    _load()
+    return _cc.unavailable_reason("fastgen")
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -447,17 +369,18 @@ def events(
     jump_targets: np.ndarray,
     jump_prob: float,
     length: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Run the event pass in C; ``(visits, runs)`` or ``None`` on failure.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run the event pass in C; returns the ``(visits, runs)`` records.
 
     ``cl`` is the flat C layout built by ``fastgen._prepare``; ``rng``
     is the *fresh* ``random.Random`` whose stream the replay consumes
     (its state is copied out, the object itself is not advanced — the
-    caller must not reuse it either way).
+    caller must not reuse it either way).  Call only when
+    :func:`available`.
     """
     lib = _load()
     if lib is None:
-        return None
+        raise RuntimeError(f"compiled event driver unavailable: {unavailable_reason()}")
     words, pos = _mt_state(rng)
     R = int(cl.width.size)
     nb = int(cl.b_pos.size)
@@ -522,8 +445,8 @@ def events(
         elif rc == -2:
             visits_cap = visits_cap * 4 + length
         else:  # pragma: no cover - unknown return code
-            return None
-    return None  # pragma: no cover - caps kept overflowing
+            raise RuntimeError(f"fastgen_events returned {rc}")
+    raise RuntimeError("fastgen_events kept overflowing its buffers")  # pragma: no cover
 
 
 def corr_sweep(
@@ -534,11 +457,12 @@ def corr_sweep(
     ew: np.ndarray,
     table: np.ndarray,
     m: int,
-) -> Optional[np.ndarray]:
-    """Resolve ``m`` correlated elements in C; uint8 values or ``None``."""
+) -> np.ndarray:
+    """Resolve ``m`` correlated elements in C; returns their uint8 values.
+    Call only when :func:`available`."""
     lib = _load()
     if lib is None:
-        return None
+        raise RuntimeError(f"compiled event driver unavailable: {unavailable_reason()}")
     # The C loop walks raw pointers with unit stride; np.nonzero on a 2-D
     # mask hands back strided views, so force contiguity before crossing.
     part = np.ascontiguousarray(part, dtype=np.int64)

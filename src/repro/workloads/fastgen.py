@@ -1,4 +1,4 @@
-"""Vectorized trace-generation fast path, bit-identical to ``Program.run``.
+"""Compiled trace-generation fast path, bit-identical to ``Program.run``.
 
 ``Program.run`` walks the region graph emitting one branch at a time:
 every dynamic branch pays a Python method call, a history update and two
@@ -7,60 +7,50 @@ trace pipeline — not simulation — the wall for paper-length sweeps.
 
 This module regenerates the *same* trace in two passes:
 
-1. **Event pass** (scalar, but tiny): replay only the points where the
-   shared ``random.Random`` stream is actually consumed.  The key
-   observation is that draw *timing* is history-independent: behaviours
-   draw at phase boundaries (bursty biased/correlated sites), on every
-   execution (weak sites), at loop-visit starts, and once per region
-   execution (the jump check) — and none of those schedules depend on
-   branch outcomes, only on earlier draws.  So the pass walks the visit
-   schedule, consumes draws in exactly the order ``Program.run`` would
-   (body position order within an iteration, loop back-edge at the end
-   of iteration 0, jump check after the visit), and records run-length
-   encoded phase values per static site.  Each region keeps a
-   persistent min-heap of pending phase boundaries keyed by
-   ``(region iteration, body position)`` — the draw order within an
-   iteration — so cost is O(draws log sites + visits), typically an
-   order of magnitude fewer steps than branches.
+1. **Event pass** (compiled, :mod:`repro.workloads._cgen`): replay only
+   the points where the shared ``random.Random`` stream is actually
+   consumed.  The key observation is that draw *timing* is
+   history-independent: behaviours draw at phase boundaries (bursty
+   biased/correlated sites), on every execution (weak sites), at
+   loop-visit starts, and once per region execution (the jump check) —
+   and none of those schedules depend on branch outcomes, only on
+   earlier draws.  So the pass walks the visit schedule, consumes draws
+   in exactly the order ``Program.run`` would (body position order
+   within an iteration, loop back-edge at the end of iteration 0, jump
+   check after the visit), and records run-length encoded phase values
+   per static site.  Each region keeps a persistent min-heap of pending
+   phase boundaries keyed by ``(region iteration, body position)`` — the
+   draw order within an iteration — so cost is O(draws log sites +
+   visits), typically an order of magnitude fewer steps than branches.
 
 2. **Assembly pass** (numpy): expand the visit schedule into the
    ``pcs`` array with gathers, expand the per-site phase runs into
    outcomes with one ``np.repeat``, compute pattern sites from the
    within-visit iteration index, and resolve correlated sites — the
-   only history-*dependent* population — with vectorized waves over the
-   dependency DAG.  A correlated element is ready when no *unresolved*
-   element sits in its history window; since unresolved elements are a
-   sorted index set, readiness is one vectorized gap test per wave
-   (an element is ready iff its nearest unresolved predecessor falls
-   outside its window), so each wave costs O(pending), not O(trace).
-   Pathologically deep chains that survive the wave budget are finished
-   by a scalar sweep in index order, which always makes progress
-   because the earliest unresolved element is ready by construction.
+   only history-*dependent* population.  Their non-correlated history
+   sources are already final, so each correlated element folds those
+   into a partial table index and a compiled in-order sweep settles the
+   remaining correlated→correlated dependencies.
 
 Bit-identity with ``Program.run`` holds because the event pass consumes
-the Mersenne-Twister stream through the same ``random.Random`` API in
-the same order, and the one inlined draw formula (``expovariate``) is
-verified bit-exact against the stdlib at runtime (:func:`supports`
-reports ``False`` — and the dispatcher falls back to the scalar
-generator — if the host Python ever diverges).  The differential suite
-in ``tests/test_fastgen.py`` checks full-trace equality for every
-registered profile.
+the Mersenne-Twister stream in the same order with the CPython draw
+formulas, verified against the stdlib when the driver loads.  The
+differential suite in ``tests/test_fastgen.py`` checks full-trace
+equality for every registered profile.
 
-Programs outside the fast path's replay envelope — behaviour
-*subclasses* (which may override draw logic), loops beyond 8191
-iterations, or bursts beyond ~200 — are refused via
-:class:`UnsupportedProgram`; the dispatcher in
-:func:`repro.workloads.generator.generate_trace` then runs the scalar
-path and emits a :mod:`repro.health` degradation event.
+:func:`repro.workloads.generator.generate_trace` runs ``Program.run``
+instead, with a :mod:`repro.health` degradation event, when the
+compiled driver is unavailable or the program is outside the fast
+path's replay envelope — behaviour *subclasses* (which may override draw
+logic), loops beyond 8191 iterations, or bursts beyond ~200, all refused
+via :class:`UnsupportedProgram`.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from random import Random
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -89,9 +79,9 @@ _K_CORR = 2  # outcome = table[history bits] ^ flip
 _PMAX = 6  # CorrelatedBehavior input cap
 _PAD = 1 << 62  # position padding: source index underflows far below 0
 
-# Packed-record layouts (single int per event keeps the hot loop to one
-# list append).  Runs: (site << 14) | (length << 13-bit) | value;
-# visits: (prior << 26) | (region << 13) | iterations.
+# Packed event-record layouts (one int64 per event).  Runs:
+# (site << 14) | (13-bit length << 1) | value; visits:
+# (prior << 26) | (region << 13) | iterations.
 _RUN_BITS = 13
 _RUN_MAX = (1 << _RUN_BITS) - 1
 _REGION_BITS = 13
@@ -100,57 +90,11 @@ _REGION_BITS = 13
 #: bounds boundary run lengths at ~36.74 * burst_length.
 _EXPO_CEIL = 36.75
 
-#: Cap on vectorized resolution waves before the compact scalar sweep
-#: takes the (by then chain-dominated) correlated remainder.
-_MAX_WAVES = 8
-
-
-_formulas_ok: Optional[bool] = None
-
-
-def _inline_formulas_match() -> bool:
-    """Verify the inlined ``expovariate`` replication against the stdlib.
-
-    The event pass inlines ``rng.expovariate(lambd)`` as
-    ``-log(1 - rng.random()) / lambd`` (the CPython formula since 2.x).
-    Checked bit-exactly once per process; a mismatch (some future
-    stdlib rewrite) disables the fast path rather than corrupting
-    traces.
-    """
-    global _formulas_ok
-    if _formulas_ok is None:
-        ref, mine = Random(0x5EED5), Random(0x5EED5)
-        _formulas_ok = all(
-            ref.expovariate(lambd) == -math.log(1.0 - mine.random()) / lambd
-            for lambd in (1.0 / 16, 1.0 / 12, 1.0 / 3, 1.0, 2.5)
-            for _ in range(8)
-        )
-    return _formulas_ok
-
-
-class _RegionPlan:
-    """Flattened draw/emit schedule of one region."""
-
-    __slots__ = ("width", "gbase", "heap0", "perexec", "loop", "max_iter")
-
-    def __init__(self, width, gbase, heap0, perexec, loop, max_iter):
-        self.width = width
-        self.gbase = gbase
-        # Initial boundary heap: [(0, pos, (gid, rate, 1/burst, base))]
-        # sorted by position (a sorted list is a valid min-heap).
-        self.heap0 = heap0
-        # [(pos, gid, p)] — sites drawing on every execution
-        self.perexec = perexec
-        # (gid, trip_count, jitter, resample_prob) or None
-        self.loop = loop
-        self.max_iter = max_iter
-
 
 class _Plan:
     """Per-program static tables for both passes."""
 
     __slots__ = (
-        "regions",
         "num_sites",
         "template",
         "widths",
@@ -162,7 +106,6 @@ class _Plan:
         "corr_row",
         "corr_flip",
         "posmat",
-        "maxpos",
         "tab_base",
         "table_pool",
         "cl",
@@ -177,13 +120,10 @@ def _prepare(program: Program) -> _Plan:
     subclass may override draw logic we cannot replay) or whose
     parameters overflow the packed-record layout.
     """
-    if not _inline_formulas_match():  # pragma: no cover - stdlib-dependent
-        raise UnsupportedProgram("stdlib expovariate formula diverged")
     if len(program.regions) >= (1 << _REGION_BITS):
         raise UnsupportedProgram(f"{len(program.regions)} regions overflow the fast path")
 
     plan = _Plan()
-    region_plans: List[_RegionPlan] = []
     template: List[int] = []
     kind: List[int] = []
     pat_base: List[int] = []
@@ -192,9 +132,18 @@ def _prepare(program: Program) -> _Plan:
     corr_row: List[int] = []
     corr_flip: List[bool] = []
     posmat: List[List[int]] = []
-    maxpos: List[int] = []
     tab_base: List[int] = []
     table_pool: List[bool] = []
+    widths: List[int] = []
+    gbases: List[int] = []
+    max_iter: List[int] = []
+
+    # Flat C layout of the event driver, per region: the phase-boundary
+    # sites in body order (b_*), the sites drawing on every execution
+    # (p_*), and the loop back-edge (loop_*; g14 -1 when there is none).
+    b_off, b_pos, b_g14, b_rate, b_lambd, b_base = [0], [], [], [], [], []
+    p_off, p_pos, p_g142, p_p = [0], [], [], []
+    loop_g14, loop_trip, loop_jit, loop_res = [], [], [], []
 
     def add_site(address, k, pbase=0, plen=0, crow=-1, cflip=False):
         template.append(address)
@@ -204,11 +153,25 @@ def _prepare(program: Program) -> _Plan:
         corr_row.append(crow)
         corr_flip.append(cflip)
 
-    def check_burst(burst: int) -> None:
+    def add_draws(pos, gid, burst, p, rate, base):
+        """Register a site's draws: taken with probability ``p`` on every
+        execution when ``burst`` is 1, else phase runs of mean length
+        ``burst`` whose value deviates from ``base`` with probability
+        ``rate``."""
+        if burst == 1:
+            p_pos.append(pos)
+            p_g142.append((gid << 14) | 2)
+            p_p.append(p)
+            return
         if round(_EXPO_CEIL * burst) >= _RUN_MAX:
             raise UnsupportedProgram(
                 f"burst_length {burst} overflows the packed run layout"
             )
+        b_pos.append(pos)
+        b_g14.append(gid << 14)
+        b_rate.append(rate)
+        b_lambd.append(1.0 / burst)
+        b_base.append(base)
 
     gid = 0
     for region in program.regions:
@@ -216,25 +179,14 @@ def _prepare(program: Program) -> _Plan:
             raise UnsupportedProgram(
                 f"max_iterations {region.max_iterations} overflows the fast path"
             )
-        gbase = gid
-        heap0: List[Tuple] = []
-        perexec: List[Tuple] = []
+        gbases.append(gid)
         for pos, site in enumerate(region.body):
             beh = site.behavior
             cls = type(beh)
             if cls is BiasedBehavior:
                 add_site(site.address, _K_RUN)
-                if beh.burst_length == 1:
-                    perexec.append((pos, (gid << 14) | 2, beh.p_taken))
-                else:
-                    check_burst(beh.burst_length)
-                    tail = (
-                        gid << 14,
-                        min(beh.p_taken, 1.0 - beh.p_taken),
-                        1.0 / beh.burst_length,
-                        beh.p_taken >= 0.5,
-                    )
-                    heap0.append((0, pos, tail))
+                p = beh.p_taken
+                add_draws(pos, gid, beh.burst_length, p, min(p, 1.0 - p), p >= 0.5)
             elif cls is PatternBehavior:
                 add_site(
                     site.address,
@@ -249,41 +201,41 @@ def _prepare(program: Program) -> _Plan:
                 posmat.append(
                     list(beh.positions) + [_PAD] * (_PMAX - len(beh.positions))
                 )
-                maxpos.append(beh.positions[-1])
                 tab_base.append(len(table_pool))
                 table_pool.extend(beh.table)
                 if beh.noise:
-                    if beh.burst_length == 1:
-                        perexec.append((pos, (gid << 14) | 2, beh.noise))
-                    else:
-                        check_burst(beh.burst_length)
-                        tail = (gid << 14, beh.noise, 1.0 / beh.burst_length, False)
-                        heap0.append((0, pos, tail))
+                    add_draws(pos, gid, beh.burst_length, beh.noise, beh.noise, False)
             else:
                 raise UnsupportedProgram(
                     f"body site behaviour {cls.__name__} has no fast-path replay"
                 )
             gid += 1
-        loop_plan = None
-        if region.loop is not None:
+        b_off.append(len(b_pos))
+        p_off.append(len(p_pos))
+        if region.loop is None:
+            loop_g14.append(-1)
+            loop_trip.append(0)
+            loop_jit.append(0)
+            loop_res.append(0.0)
+        else:
             lb = region.loop.behavior
             if type(lb) is not LoopBehavior:
                 raise UnsupportedProgram(
                     f"loop site behaviour {type(lb).__name__} has no fast-path replay"
                 )
             add_site(region.loop.address, _K_RUN)
-            loop_plan = (gid << 14, lb.trip_count, lb.jitter, lb.resample_prob)
+            loop_g14.append(gid << 14)
+            loop_trip.append(lb.trip_count)
+            loop_jit.append(lb.jitter)
+            loop_res.append(lb.resample_prob)
             gid += 1
-        width = len(region.body) + (1 if region.loop is not None else 0)
-        region_plans.append(
-            _RegionPlan(width, gbase, heap0, perexec, loop_plan, region.max_iterations)
-        )
+        widths.append(len(region.body) + (1 if region.loop is not None else 0))
+        max_iter.append(region.max_iterations)
 
-    plan.regions = region_plans
     plan.num_sites = gid
     plan.template = np.asarray(template, dtype=np.int64)
-    plan.widths = np.asarray([rp.width for rp in region_plans], dtype=np.int64)
-    plan.gbase = np.asarray([rp.gbase for rp in region_plans], dtype=np.int64)
+    plan.widths = np.asarray(widths, dtype=np.int64)
+    plan.gbase = np.asarray(gbases, dtype=np.int64)
     plan.kind = np.asarray(kind, dtype=np.uint8)
     plan.pat_base = np.asarray(pat_base, dtype=np.int64)
     plan.pat_len = np.asarray(pat_len, dtype=np.int64)
@@ -297,48 +249,18 @@ def _prepare(program: Program) -> _Plan:
         if posmat
         else np.zeros((1, _PMAX), dtype=np.int64)
     )
-    plan.maxpos = np.asarray(maxpos or [0], dtype=np.int64)
     plan.tab_base = np.asarray(tab_base or [0], dtype=np.int64)
     plan.table_pool = (
         np.asarray(table_pool, dtype=bool) if table_pool else np.zeros(1, dtype=bool)
     )
 
-    # Flat C layout for the compiled event driver (cheap; built even
-    # when the driver is unavailable so dispatch stays branch-free).
-    b_off, b_pos, b_g14, b_rate, b_lambd, b_base = [0], [], [], [], [], []
-    p_off, p_pos, p_g142, p_p = [0], [], [], []
-    loop_g14, loop_trip, loop_jit, loop_res = [], [], [], []
-    for rp in region_plans:
-        for _, bpos, (g14, rate, lambd, base) in rp.heap0:
-            b_pos.append(bpos)
-            b_g14.append(g14)
-            b_rate.append(rate)
-            b_lambd.append(lambd)
-            b_base.append(base)
-        b_off.append(len(b_pos))
-        for ppos, g142, p in rp.perexec:
-            p_pos.append(ppos)
-            p_g142.append(g142)
-            p_p.append(p)
-        p_off.append(len(p_pos))
-        if rp.loop is None:
-            loop_g14.append(-1)
-            loop_trip.append(0)
-            loop_jit.append(0)
-            loop_res.append(0.0)
-        else:
-            gl14, trip_count, jitter, resample_prob = rp.loop
-            loop_g14.append(gl14)
-            loop_trip.append(trip_count)
-            loop_jit.append(jitter)
-            loop_res.append(resample_prob)
     s_off, s_ent = [0], []
     for entries in program.schedule:
         s_ent.extend(entries)
         s_off.append(len(s_ent))
     plan.cl = SimpleNamespace(
-        width=np.asarray([rp.width for rp in region_plans], dtype=np.int32),
-        max_iter=np.asarray([rp.max_iter for rp in region_plans], dtype=np.int32),
+        width=np.asarray(widths, dtype=np.int32),
+        max_iter=np.asarray(max_iter, dtype=np.int32),
         loop_g14=np.asarray(loop_g14, dtype=np.int64),
         loop_trip=np.asarray(loop_trip, dtype=np.int64),
         loop_jit=np.asarray(loop_jit, dtype=np.int32),
@@ -382,7 +304,10 @@ def supports(program: Program) -> bool:
 
 
 def fast_run(program: Program, length: int, seed: int = 0) -> BranchTrace:
-    """Vectorized, bit-identical equivalent of ``Program.run``."""
+    """Compiled, bit-identical equivalent of ``Program.run``.
+
+    Needs the compiled event driver (:func:`repro.workloads._cgen.available`).
+    """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
     if length >= 1 << 34:
@@ -395,168 +320,8 @@ def fast_run(program: Program, length: int, seed: int = 0) -> BranchTrace:
     jump_arr = chooser.choice(
         len(program.regions), size=max(64, length // 16 + 16), p=program.weights
     )
-
-    # -- pass 1: event replay (compiled driver, else pure Python) --------------
-    res = None
-    if length and _cgen.available():
-        res = _cgen.events(plan.cl, rng, jump_arr, program.jump_prob, length)
-    if res is None:
-        res = _events_py(plan, program, rng, jump_arr.tolist(), length)
-    venc, renc = res
+    venc, renc = _cgen.events(plan.cl, rng, jump_arr, program.jump_prob, length)
     return _assemble(plan, program, venc, renc, length)
-
-
-def engine_name() -> str:
-    """Which event-replay engine :func:`fast_run` currently uses."""
-    return "fastgen-c" if _cgen.available() else "fastgen-py"
-
-
-def _events_py(plan, program, rng, jump_targets, length):
-    """The pure-Python event replay (same stream walk as the C driver)."""
-    njump = len(jump_targets)
-    jump_pos = 1
-    current = jump_targets[0]
-    jump_prob = program.jump_prob
-
-    schedule = program.schedule
-    num_regions = len(program.regions)
-    pointers = [0] * num_regions
-
-    plans = plan.regions
-    heaps = [rp.heap0[:] for rp in plans]  # sorted-by-pos lists are valid heaps
-    loop_rem: List[Optional[int]] = [None] * num_regions
-    loop_trip: List[Optional[int]] = [None] * num_regions
-    prior = [0] * num_regions  # cumulative iterations per region
-
-    visits: List[int] = []  # (prior << 26) | (region << 13) | iterations
-    runs: List[int] = []  # (site << 14) | (length << 1) | value
-
-    rr = rng.random
-    randint = rng.randint
-    log = math.log
-    replace = heapq.heapreplace
-    runs_app = runs.append
-    visits_app = visits.append
-
-    emitted = 0
-    while emitted < length:
-        rp = plans[current]
-        pr = prior[current]
-        H = heaps[current]
-        perexec = rp.perexec
-
-        # iteration 0: body sites in position order
-        if perexec:
-            for pos, g142, p in perexec:
-                while H and H[0][0] == pr and H[0][1] < pos:
-                    head = H[0]
-                    tail = head[2]
-                    bg14, rate, lambd, base = tail
-                    dev = rr() < rate
-                    run = round(-log(1.0 - rr()) / lambd) or 1
-                    runs_app(bg14 | (run << 1) | (base ^ dev))
-                    replace(H, (pr + run, head[1], tail))
-                runs_app(g142 | (rr() < p))
-        while H and H[0][0] == pr:
-            head = H[0]
-            tail = head[2]
-            bg14, rate, lambd, base = tail
-            dev = rr() < rate
-            run = round(-log(1.0 - rr()) / lambd) or 1
-            runs_app(bg14 | (run << 1) | (base ^ dev))
-            replace(H, (pr + run, head[1], tail))
-
-        # loop back-edge of iteration 0 decides the visit's iteration count
-        lp = rp.loop
-        if lp is None:
-            it = 1
-        else:
-            gl14, trip_count, jitter, resample_prob = lp
-            rem = loop_rem[current]
-            if rem is None:
-                trip = loop_trip[current]
-                if trip is None or (jitter and rr() < resample_prob):
-                    trip = (
-                        max(1, trip_count + randint(-jitter, jitter))
-                        if jitter
-                        else trip_count
-                    )
-                    loop_trip[current] = trip
-                rem = trip
-            if rem <= rp.max_iter:
-                it = rem
-                loop_rem[current] = None
-                if it > 1:
-                    runs_app(gl14 | ((it - 1) << 1) | 1)
-                runs_app(gl14 | 2)
-            else:
-                it = rp.max_iter
-                loop_rem[current] = rem - it
-                runs_app(gl14 | (it << 1) | 1)
-
-        # iterations 1..it-1: remaining boundary events in (iteration,
-        # position) order; per-execution sites draw every iteration.
-        if it > 1:
-            end = pr + it
-            if perexec:
-                for t in range(pr + 1, end):
-                    if H and H[0][0] == t:
-                        for pos, g142, p in perexec:
-                            while H and H[0][0] == t and H[0][1] < pos:
-                                head = H[0]
-                                tail = head[2]
-                                bg14, rate, lambd, base = tail
-                                dev = rr() < rate
-                                run = round(-log(1.0 - rr()) / lambd) or 1
-                                runs_app(bg14 | (run << 1) | (base ^ dev))
-                                replace(H, (t + run, head[1], tail))
-                            runs_app(g142 | (rr() < p))
-                        while H and H[0][0] == t:
-                            head = H[0]
-                            tail = head[2]
-                            bg14, rate, lambd, base = tail
-                            dev = rr() < rate
-                            run = round(-log(1.0 - rr()) / lambd) or 1
-                            runs_app(bg14 | (run << 1) | (base ^ dev))
-                            replace(H, (t + run, head[1], tail))
-                    else:
-                        for pos, g142, p in perexec:
-                            runs_app(g142 | (rr() < p))
-            else:
-                while H and H[0][0] < end:
-                    head = H[0]
-                    t = head[0]
-                    tail = head[2]
-                    bg14, rate, lambd, base = tail
-                    dev = rr() < rate
-                    run = round(-log(1.0 - rr()) / lambd) or 1
-                    runs_app(bg14 | (run << 1) | (base ^ dev))
-                    replace(H, (t + run, head[1], tail))
-        else:
-            end = pr + 1
-
-        visits_app((pr << 26) | (current << _RUN_BITS) | it)
-        prior[current] = end
-        emitted += rp.width * it
-        if emitted >= length:
-            break
-
-        # dispatch: random Zipf jump, else the deterministic schedule
-        if jump_prob and rr() < jump_prob:
-            if jump_pos >= njump:
-                jump_pos = 0
-            current = jump_targets[jump_pos]
-            jump_pos += 1
-            continue
-        entries = schedule[current]
-        pointer = pointers[current]
-        pointers[current] = pointer + 1 if pointer + 1 < len(entries) else 0
-        current = entries[pointer]
-
-    return (
-        np.asarray(visits, dtype=np.int64),
-        np.asarray(runs, dtype=np.int64),
-    )
 
 
 def _assemble(plan, program, venc, renc, length):
@@ -618,7 +383,6 @@ def _assemble(plan, program, venc, renc, length):
 
     ci = np.flatnonzero(kin == _K_CORR)
     if ci.size:
-        out[ci] = False  # clipped-gather garbage must not leak into history
         _resolve_correlated(plan, out, ci, gi[ci], exec_i[ci], pool, pool_base)
 
     return BranchTrace(
@@ -633,20 +397,13 @@ def _resolve_correlated(plan, out, ci, g_c, exec_c, pool, pool_base):
     """Fill correlated-site outcomes into ``out`` (in place).
 
     A correlated element reads history bits — outcomes of elements a
-    few positions back — so correlated elements form a dependency DAG
-    over the trace.  Each vectorized wave resolves every element whose
-    source positions all point at already-resolved elements (sources
-    are located in the still-unresolved sorted index set with one
-    ``searchsorted``).  Waves keep running while they pay off; once the
-    remainder is dominated by chains (each wave peels only the chain
-    heads), the leftovers are finished by a compact scalar sweep in
-    index order: resolved-source contributions are pre-folded into a
-    per-element partial table index, so the loop touches only the
-    unresolved corr→corr edges — it never materializes the full trace
-    as a Python list.
+    few positions back — so correlated elements form dependency chains
+    over the trace.  Every source that is not itself correlated already
+    holds its final outcome: those bits are folded into a per-element
+    partial table index, the correlated→correlated edges are listed,
+    and the compiled sweep resolves the elements in trace order.
     """
     row = plan.corr_row[g_c]
-    tb = plan.tab_base[row]
     src = ci.astype(np.int64)[:, None] - 1 - plan.posmat[row]  # pads underflow < 0
     srcc = np.maximum(src, 0)  # pad-clipped gather indices
     valid = src >= 0
@@ -654,79 +411,15 @@ def _resolve_correlated(plan, out, ci, g_c, exec_c, pool, pool_base):
     fidx = np.where(has_flip, pool_base[g_c].astype(np.int64) + exec_c, 0)
     flips = np.where(has_flip, pool[fidx], False)
     bitw = 1 << np.arange(_PMAX, dtype=np.int64)
-    table = plan.table_pool
 
-    if _cgen.available():
-        # Compiled chain sweep: fold every resolved source into a
-        # partial table index, list the corr->corr edges, and let C
-        # walk the elements in trace order — no waves needed.
-        corr_mask = np.zeros(out.size, dtype=bool)
-        corr_mask[ci] = True
-        unres = corr_mask[srcc] & valid
-        bits = out[srcc] & valid & ~unres
-        part = (bits * bitw).sum(axis=1) + tb
-        ej, eb = np.nonzero(unres)
-        ek = np.searchsorted(ci, src[ej, eb])
-        ew = np.left_shift(1, eb)
-        vals = _cgen.corr_sweep(
-            part,
-            np.ascontiguousarray(flips).view(np.uint8),
-            ej,
-            ek,
-            ew,
-            table.view(np.uint8),
-            ci.size,
-        )
-        if vals is not None:  # pragma: no branch - available() implies success
-            out[ci] = vals.view(bool)
-            return
-
-    # O(1) unresolved-source test: a trace-length mask updated per wave
-    unres_mask = np.zeros(out.size, dtype=bool)
-    unres_mask[ci] = True
-    pend = np.arange(ci.size)
-    for _ in range(_MAX_WAVES):
-        if not pend.size:
-            break
-        s = srcc[pend]
-        ready = ~(unres_mask[s] & valid[pend]).any(axis=1)
-        sel = pend[ready]
-        if sel.size:
-            bits = out[srcc[sel]] & valid[sel]
-            index = (bits * bitw).sum(axis=1)
-            tgt = ci[sel]
-            out[tgt] = table[tb[sel] + index] ^ flips[sel]
-            unres_mask[tgt] = False
-            pend = pend[~ready]
-        # chains resolve one link per wave; hand them to the sweep
-        if sel.size * 4 < ready.size:
-            break
-
-    if pend.size:
-        m = pend.size
-        idx = ci[pend]
-        s = src[pend]
-        unres = unres_mask[srcc[pend]] & valid[pend]
-        bits = out[srcc[pend]] & valid[pend] & ~unres
-        part = (bits * bitw).sum(axis=1) + tb[pend]
-        pos = np.searchsorted(idx, s)  # pend-local index of unresolved sources
-        np.minimum(pos, m - 1, out=pos)
-        ej, eb = np.nonzero(unres)
-        ek = pos[ej, eb]
-        ej_l = ej.tolist()
-        ek_l = ek.tolist()
-        ew_l = (1 << eb).tolist()
-        part_l = part.tolist()
-        flips_l = flips[pend].tolist()
-        table_l = table.tolist()
-        vals = [False] * m
-        e = 0
-        ne = len(ej_l)
-        for j in range(m):
-            acc = part_l[j]
-            while e < ne and ej_l[e] == j:
-                if vals[ek_l[e]]:
-                    acc += ew_l[e]
-                e += 1
-            vals[j] = table_l[acc] ^ flips_l[j]
-        out[idx] = vals
+    corr_mask = np.zeros(out.size, dtype=bool)
+    corr_mask[ci] = True
+    unres = corr_mask[srcc] & valid
+    bits = out[srcc] & valid & ~unres
+    part = (bits * bitw).sum(axis=1) + plan.tab_base[row]
+    ej, eb = np.nonzero(unres)
+    ek = np.searchsorted(ci, src[ej, eb])
+    vals = _cgen.corr_sweep(
+        part, flips, ej, ek, np.left_shift(1, eb), plan.table_pool, ci.size
+    )
+    out[ci] = vals.view(bool)

@@ -1,17 +1,18 @@
-"""Equivalence suite for the optimized Section-4 analysis pipeline.
+"""Equivalence suite for the Section-4 analysis pipeline.
 
-The fast path (compiled grouping drivers + counting sorts, see
-``repro.core.grouping`` and ``repro.sim._cstep``) must produce
-bit-identical summaries to the naive sort-based reference
-implementations preserved in :mod:`repro.analysis.reference` — on every
-predictor family with a detailed path, through both the compiled and the
-pure-numpy fallback formulations, and on the degenerate inputs the
-counting sorts are most likely to get wrong.
+The compiled reductions (``repro.sim._cstep.substream_group`` and
+``class_changes``) must produce bit-identical summaries to the naive
+sort-based reference implementations in :mod:`repro.analysis.reference`
+— on every predictor family with a detailed path, and on the degenerate
+inputs a counting sort is most likely to get wrong.  Without a compiler
+the analysis runs the reference itself; the fallback tests check that
+route end to end.
 """
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.analysis.bias import SNT, ST, WB, analyze_substreams, counter_bias_table
 from repro.analysis.breakdown import misprediction_breakdown
 from repro.analysis.reference import (
@@ -76,15 +77,14 @@ class TestFastVsReference:
             detailed, analysis
         )
 
-    def test_numpy_fallback_identical(self, trace, monkeypatch):
-        """With the compiled drivers disabled, the pure-numpy counting
-        sorts must still match both the compiled result and the
-        reference."""
+    def test_numpy_fallback_identical(self, trace):
+        """With the compiler denied, the analysis runs the numpy
+        reference formulations and still matches the compiled result."""
         spec = "gshare:index=8,hist=6"
         detailed = run_detailed(make_predictor(spec), trace)
         with_cc = summarize_detailed(detailed, include_bias_table=True)
-        monkeypatch.setattr(_cstep, "available", lambda: False)
-        without_cc = summarize_detailed(detailed, include_bias_table=True)
+        with faults.deny_compiler():
+            without_cc = summarize_detailed(detailed, include_bias_table=True)
         assert without_cc == with_cc
         assert without_cc == summarize_detailed_reference(
             detailed, include_bias_table=True
@@ -164,8 +164,8 @@ class TestAnalysisEdgeCases:
         assert by_pc[2] == SNT  # exactly 0.1 taken
         assert_analysis_equal(analysis, analyze_substreams_reference(detailed))
 
-    def test_edge_cases_survive_numpy_fallback(self, monkeypatch):
-        monkeypatch.setattr(_cstep, "available", lambda: False)
-        self.test_single_counter_table()
-        self.test_all_wb_stream()
-        self.test_exact_boundary_rates()
+    def test_edge_cases_survive_numpy_fallback(self):
+        with faults.deny_compiler():
+            self.test_single_counter_table()
+            self.test_all_wb_stream()
+            self.test_exact_boundary_rates()

@@ -197,3 +197,24 @@ class TestProductionHooks:
         event = self._family_event("gshare:index=4,hist=4", "gshare-kernel")
         expected = ("c", "info") if _cstep.available() else ("scalar", "degraded")
         assert (event.actual, event.severity) == expected
+
+    def test_section4_fallback_reports_once_per_process(self, monkeypatch):
+        from repro import faults
+        from repro.analysis import bias
+        from repro.analysis.interference import count_class_changes
+        from tests.test_analysis_bias import detailed_from
+
+        monkeypatch.setattr(bias, "_reference_reported", False)
+        detailed = detailed_from(
+            pcs=[1, 2, 1, 2],
+            counter_ids=[0, 0, 1, 1],
+            outcomes=[True, False, True, True],
+            num_counters=2,
+        )
+        with faults.deny_compiler():
+            for _ in range(2):
+                count_class_changes(detailed, bias.analyze_substreams(detailed))
+        (event,) = health.events(component="section4-reduction")
+        assert (event.expected, event.actual) == ("c", "reference")
+        assert event.severity == "degraded"
+        assert "REPRO_NO_CC" in event.reason
